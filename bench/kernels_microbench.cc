@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the substrates: sort kernels
-// (vectorized vs scalar), bucket-chain hash build/probe (scalar vs
-// prefetch-batched), the AVX2 vertical probe over the linear-probe table
+// (vectorized vs scalar), bucket-chain hash build and probe (scalar vs
+// prefetch-batched probe), the AVX2 vertical probe over the linear-probe table
 // (scalar vs simd), the shared-table build (latched vs lock-free CAS),
 // radix partitioning (scalar vs SWWC scatter), and merge strategies. These
 // are the kernel-level numbers behind the figure-level benches.
@@ -95,27 +95,19 @@ BENCHMARK(BM_MergePacked)->Args({1 << 16, 0})->Args({1 << 16, 1});
 void BM_HashBuild(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const uint32_t domain = static_cast<uint32_t>(state.range(1));
-  const bool batched = state.range(2) != 0;
   const auto input = RandomTuples(n, domain, 4);
   for (auto _ : state) {
     BucketChainTable<> table(n);
     NullTracer tracer;
-    if (batched) {
-      kernels::InsertBatched(table, input.data(), n, tracer);
-    } else {
-      for (const Tuple& t : input) table.Insert(t, tracer);
-    }
+    for (const Tuple& t : input) table.Insert(t, tracer);
     benchmark::DoNotOptimize(table.size());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
-  state.SetLabel(std::string(domain < n ? "duplicated" : "unique-ish") +
-                 (batched ? "/batched" : "/scalar"));
+  state.SetLabel(domain < n ? "duplicated" : "unique-ish");
 }
 BENCHMARK(BM_HashBuild)
-    ->Args({1 << 16, 1 << 30, 0})
-    ->Args({1 << 16, 1 << 30, 1})
-    ->Args({1 << 16, 1 << 6, 0})   // heavy duplication: long chains
-    ->Args({1 << 16, 1 << 6, 1});
+    ->Args({1 << 16, 1 << 30})
+    ->Args({1 << 16, 1 << 6});  // heavy duplication: long chains
 
 void BM_HashProbe(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -351,22 +343,6 @@ void RunHashJson(std::vector<JsonResult>* results) {
   };
   bench_probe("n=64k", kJsonHashTuples, 1u << 30);
   bench_probe("n=1m", kJsonBigHashTuples, 1u << 30);
-
-  const size_t n = kJsonHashTuples;
-  const auto input = RandomTuples(n, 1u << 30, 4);
-  for (const bool batched : {false, true}) {
-    const double rate = MeasureItemsPerSec(n, kJsonReps, [&] {
-      BucketChainTable<> table(n);
-      if (batched) {
-        kernels::InsertBatched(table, input.data(), n, tracer);
-      } else {
-        for (const Tuple& t : input) table.Insert(t, tracer);
-      }
-    });
-    results->push_back(
-        {std::string("build/n=64k/") + (batched ? "batched" : "scalar"),
-         rate});
-  }
 }
 
 // Linear-probe table: scalar per-key probe vs the AVX2 vertical probe. On
@@ -466,11 +442,6 @@ int RunJsonMode(const std::string& out_path) {
   w.EndArray();
   // Optimized-vs-baseline speedups of the same run: the
   // hardware-normalized numbers the gate's ratio mode compares.
-  //
-  // "build/n=64k" (batched vs scalar bucket-chain build) is deliberately
-  // absent: it measured 0.95x of scalar, so the batched build is retired —
-  // its raw rates stay in `results` for reference, but a gate must not
-  // bless a regression as a floor. See notes.batched_build below.
   w.Key("speedups").BeginObject();
   for (const auto& pair : std::vector<std::pair<std::string, std::string>>{
            {"scatter/bits=6", "swwc"},
@@ -489,12 +460,6 @@ int RunJsonMode(const std::string& out_path) {
     const double lockfree = FindRate(results, "build/shared/n=64k/lockfree");
     if (latched > 0) w.Field("build/shared/n=64k", lockfree / latched);
   }
-  w.EndObject();
-  w.Key("notes").BeginObject();
-  w.Field("batched_build",
-          "retired: batched bucket-chain build measured 0.95x of scalar "
-          "(build/n=64k); builds resolve to scalar, raw rates kept for "
-          "reference and excluded from gated speedups");
   w.EndObject();
   w.EndObject();
 

@@ -1,8 +1,6 @@
 #include "src/common/kernels.h"
 
-#include <cstdio>
 #include <cstdlib>
-#include <mutex>
 
 #include "src/common/logging.h"
 #include "src/hash/simd_probe.h"
@@ -15,14 +13,17 @@ std::string_view KernelModeName(KernelMode mode) {
       return "auto";
     case KernelMode::kScalar:
       return "scalar";
-    case KernelMode::kSwwc:
-      return "swwc";
-    case KernelMode::kSimd:
-      return "simd";
-    case KernelMode::kLockfree:
-      return "lockfree";
   }
   return "?";
+}
+
+std::string KernelModeChoices() {
+  std::string choices;
+  for (KernelMode mode : kAllKernelModes) {
+    if (!choices.empty()) choices += '|';
+    choices += KernelModeName(mode);
+  }
+  return choices;
 }
 
 bool ParseKernelMode(std::string_view text, KernelMode* mode) {
@@ -44,7 +45,7 @@ KernelMode KernelModeFromEnv() {
     if (!warned) {
       warned = true;
       IAWJ_LOG(Warning) << "ignoring unrecognized IAWJ_KERNELS=" << env
-                        << " (want auto|scalar|swwc|simd|lockfree)";
+                        << " (want " << KernelModeChoices() << ")";
     }
   }
   return mode;
@@ -54,47 +55,28 @@ KernelMode ResolveKernelMode(KernelMode spec_mode) {
   return spec_mode == KernelMode::kAuto ? KernelModeFromEnv() : spec_mode;
 }
 
-namespace {
-
-// Satellite of the PR-4 regression fix: the batched prefetch build measured
-// 0.95x of scalar (BENCH_baseline.json "notes.batched_build"), so every
-// cache-conscious plan resolves builds back to scalar. Said once, on
-// stderr, the first time a plan that historically batched builds resolves.
-void NoteBatchedBuildRetirementOnce() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    std::fprintf(stderr,
-                 "iawj: note: batched hash build resolves to scalar "
-                 "(measured 0.95x of scalar; see BENCH_baseline.json "
-                 "notes.batched_build)\n");
-  });
+KernelPlan KernelPlan::For(const KernelSites& sites) const {
+  KernelPlan plan;
+  plan.mode = mode;
+  plan.swwc_scatter = swwc_scatter && sites.radix_scatter;
+  plan.lockfree_build = lockfree_build && sites.shared_build;
+  plan.simd_probe = simd_probe && sites.linear_probe;
+  plan.batched_probe = batched_probe && !plan.simd_probe &&
+                       (sites.chained_probe || sites.linear_probe);
+  return plan;
 }
-
-}  // namespace
 
 KernelPlan ResolveKernelPlan(KernelMode spec_mode, bool tracer_enabled) {
   KernelPlan plan;
-  if (tracer_enabled) {
-    plan.mode = KernelMode::kScalar;
-    return plan;
-  }
-  KernelMode mode = ResolveKernelMode(spec_mode);
-  if (mode == KernelMode::kAuto) mode = KernelMode::kSwwc;
-  plan.mode = mode;
-  if (mode == KernelMode::kScalar) return plan;
-
-  // Every cache-conscious plan shares the swwc scatter and the batched
-  // probe; builds stay scalar (see NoteBatchedBuildRetirementOnce).
+  if (tracer_enabled) return plan;
+  plan.mode = ResolveKernelMode(spec_mode);
+  if (plan.mode == KernelMode::kScalar) return plan;
   plan.swwc_scatter = true;
+  plan.lockfree_build = true;
   plan.batched_probe = true;
-  NoteBatchedBuildRetirementOnce();
-  if (mode == KernelMode::kSimd) {
-    // Runtime dispatch: without AVX2 (or with $IAWJ_SIMD_PROBE=0) the plan
-    // degrades to the batched scalar probe — byte-identical output.
-    plan.simd_probe = kernels::SimdProbeSupported();
-  } else if (mode == KernelMode::kLockfree) {
-    plan.lockfree_build = true;
-  }
+  // Runtime dispatch: without AVX2 (or with $IAWJ_SIMD_PROBE=0) linear-probe
+  // tables take the batched probe instead — byte-identical output.
+  plan.simd_probe = kernels::SimdProbeSupported();
   return plan;
 }
 
@@ -109,11 +91,6 @@ std::string_view KernelBuildVariant(const KernelPlan& plan) {
 std::string_view KernelProbeVariant(const KernelPlan& plan) {
   if (plan.simd_probe) return "simd";
   return plan.batched_probe ? "batched" : "scalar";
-}
-
-bool UseCacheKernels(KernelMode spec_mode, bool tracer_enabled) {
-  if (tracer_enabled) return false;
-  return ResolveKernelMode(spec_mode) != KernelMode::kScalar;
 }
 
 }  // namespace iawj

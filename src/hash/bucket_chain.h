@@ -74,14 +74,11 @@ class BucketChainTable {
     ++size_;
   }
 
-  // Prefetch hints for the batched kernels (hash/prefetch.h): pull the
-  // bucket head that `key` hashes to toward L1 ahead of the Insert/Probe
-  // that will touch it. Pure hints — no architectural effect.
+  // Prefetch hint for the batched probe (hash/prefetch.h): pull the bucket
+  // head that `key` hashes to toward L1 ahead of the Probe that will touch
+  // it. A pure hint — no architectural effect.
   void PrefetchProbe(uint32_t key) const {
     __builtin_prefetch(&buckets_[HashToBucket(key, bits_)], /*rw=*/0, 3);
-  }
-  void PrefetchInsert(uint32_t key) const {
-    __builtin_prefetch(&buckets_[HashToBucket(key, bits_)], /*rw=*/1, 3);
   }
 
   // Invokes on_match(Tuple) for every stored tuple with the given key.

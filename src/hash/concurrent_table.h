@@ -83,16 +83,9 @@ class ConcurrentBucketChainTable {
     Unlock(index);
   }
 
-  // Prefetch hints for the batched kernels (hash/prefetch.h). The insert
-  // hint pulls both the latch byte and the bucket: an insert touches the
-  // latch first, and the two live in different arrays.
+  // Prefetch hint for the batched probe (hash/prefetch.h).
   void PrefetchProbe(uint32_t key) const {
     __builtin_prefetch(&buckets_[HashToBucket(key, bits_)], /*rw=*/0, 3);
-  }
-  void PrefetchInsert(uint32_t key) const {
-    const uint32_t index = HashToBucket(key, bits_);
-    __builtin_prefetch(&latches_[index], /*rw=*/1, 3);
-    __builtin_prefetch(&buckets_[index], /*rw=*/1, 3);
   }
 
   // Read-only probe; callers must ensure all inserts happened-before (the

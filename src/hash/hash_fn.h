@@ -2,6 +2,7 @@
 #ifndef IAWJ_HASH_HASH_FN_H_
 #define IAWJ_HASH_HASH_FN_H_
 
+#include <bit>
 #include <cstdint>
 
 namespace iawj {
@@ -14,6 +15,15 @@ inline uint32_t MultHash32(uint32_t key) { return key * 2654435761u; }
 // Maps key to [0, 2^bits).
 inline uint32_t HashToBucket(uint32_t key, int bits) {
   return bits == 0 ? 0 : MultHash32(key) >> (32 - bits);
+}
+
+// Home slot of `key` in a power-of-two open-addressing table of mask + 1
+// (<= 2^32) slots: the top bits of the hash, like HashToBucket. The low
+// bits of the product depend only on the key's low bits — exactly the bits
+// RadixOf partitions on — so masking them would pile every key of a radix
+// partition into one cluster.
+inline uint64_t HashToSlot(uint32_t key, uint64_t mask) {
+  return HashToBucket(key, std::popcount(mask));
 }
 
 // 64-bit mixer used for order-insensitive match checksums in tests/metrics.

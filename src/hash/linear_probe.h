@@ -47,7 +47,7 @@ class LinearProbeTable {
   void Insert(Tuple t, Tracer& tracer) {
     IAWJ_DCHECK(t.key != kEmptyKey);
     if ((size_ + 1) * 10 > slots_.size() * 7) Grow();
-    uint64_t idx = MultHash32(t.key) & mask_;
+    uint64_t idx = HashToSlot(t.key, mask_);
     while (true) {
       tracer.Access(&slots_[idx], sizeof(Tuple));
       if (slots_[idx].key == kEmptyKey) {
@@ -59,14 +59,11 @@ class LinearProbeTable {
     }
   }
 
-  // Prefetch hints for the batched kernels (hash/prefetch.h): pull the
-  // cluster's first slot toward L1. Clusters span consecutive slots, so one
-  // line usually covers the whole scan at sane load factors.
+  // Prefetch hint for the batched and SIMD probes: pull the cluster's
+  // first slot toward L1. Clusters span consecutive slots, so one line
+  // usually covers the whole scan at sane load factors.
   void PrefetchProbe(uint32_t key) const {
-    __builtin_prefetch(&slots_[MultHash32(key) & mask_], /*rw=*/0, 3);
-  }
-  void PrefetchInsert(uint32_t key) const {
-    __builtin_prefetch(&slots_[MultHash32(key) & mask_], /*rw=*/1, 3);
+    __builtin_prefetch(&slots_[HashToSlot(key, mask_)], /*rw=*/0, 3);
   }
 
   // Invokes on_match(Tuple) for every stored tuple with the given key.
@@ -74,7 +71,7 @@ class LinearProbeTable {
   // ends at the first empty slot.
   template <typename F>
   void Probe(uint32_t key, F&& on_match, Tracer& tracer) const {
-    uint64_t idx = MultHash32(key) & mask_;
+    uint64_t idx = HashToSlot(key, mask_);
     while (true) {
       tracer.Access(&slots_[idx], sizeof(Tuple));
       if (slots_[idx].key == kEmptyKey) return;
@@ -104,7 +101,7 @@ class LinearProbeTable {
         (capacity - old.size()) * sizeof(Tuple));
     for (const Tuple& t : old) {
       if (t.key == kEmptyKey) continue;
-      uint64_t idx = MultHash32(t.key) & mask_;
+      uint64_t idx = HashToSlot(t.key, mask_);
       while (slots_[idx].key != kEmptyKey) idx = (idx + 1) & mask_;
       slots_[idx] = t;
     }

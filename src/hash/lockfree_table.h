@@ -67,14 +67,17 @@ class LockFreeChainTable {
                                 PoolNodes(expected_tuples) * sizeof(Node));
   }
 
+  // Heads start null (std::atomic value-initializes). Pool nodes start
+  // uninitialized: Insert fills a node before publishing it and nothing
+  // reads an unpublished one, so the pool's pages are first touched by the
+  // parallel build rather than zeroed by the constructing thread.
   explicit LockFreeChainTable(uint64_t expected_tuples)
       : bits_(BitsFor(expected_tuples)),
         heads_(size_t{1} << bits_),
         pool_size_(PoolNodes(expected_tuples)),
-        pool_(std::make_unique<Node[]>(pool_size_)),
+        pool_(std::make_unique_for_overwrite<Node[]>(pool_size_)),
         tracked_bytes_(TrackedBytesFor(expected_tuples)) {
     mem::Add(tracked_bytes_.load(std::memory_order_relaxed));
-    for (auto& h : heads_) h.store(nullptr, std::memory_order_relaxed);
   }
 
   ~LockFreeChainTable() {
@@ -100,13 +103,10 @@ class LockFreeChainTable {
                                          std::memory_order_relaxed));
   }
 
-  // Prefetch hints for the batched kernels (hash/prefetch.h): the head
+  // Prefetch hint for the batched probe (hash/prefetch.h): the head
   // pointer is the first (and under low duplication, only) line touched.
   void PrefetchProbe(uint32_t key) const {
     __builtin_prefetch(&heads_[HashToBucket(key, bits_)], /*rw=*/0, 3);
-  }
-  void PrefetchInsert(uint32_t key) const {
-    __builtin_prefetch(&heads_[HashToBucket(key, bits_)], /*rw=*/1, 3);
   }
 
   // Latch-free probe. Safe concurrently with inserts (acquire/release on
@@ -190,7 +190,7 @@ class LockFreeChainTable {
       expected = 0;
     }
     if (chunk_used_ == kChunkNodes || chunks_.empty()) {
-      chunks_.push_back(std::make_unique<Node[]>(kChunkNodes));
+      chunks_.push_back(std::make_unique_for_overwrite<Node[]>(kChunkNodes));
       chunk_used_ = 0;
       const auto bytes = static_cast<int64_t>(kChunkNodes * sizeof(Node));
       mem::Add(bytes);

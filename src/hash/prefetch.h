@@ -1,18 +1,16 @@
-// Software-prefetched, batched hash build and probe.
+// Software-prefetched, batched hash probe.
 //
 // A bucket-chain probe over a table bigger than L2 is one dependent cache
-// miss per key: hash, load the bucket head, stall. The batched kernels
-// break the dependency by working on a group of keys at a time — first
+// miss per key: hash, load the bucket head, stall. The batched kernel
+// breaks the dependency by working on a group of keys at a time — first
 // issue a prefetch for every key's bucket head (the paper's Fig. 8/Table 5
 // miss source), then resolve the probes; by the time the first chains are
-// walked the later heads are in flight. Same trick on the build side for
-// the insert target lines.
+// walked the later heads are in flight.
 //
-// The kernels call the tables' existing Insert/Probe, so match order per
-// key, sink contents, and table layout are bit-identical to the scalar
-// loops. Each table exposes PrefetchProbe/PrefetchInsert hints; the batch
-// width covers the memory-level parallelism a core can keep in flight
-// (~10 line-fill buffers) with headroom for chains.
+// The kernel calls the tables' existing Probe, so match order per key and
+// sink contents are bit-identical to the scalar loops. Each table exposes a
+// PrefetchProbe hint; the batch width covers the memory-level parallelism a
+// core can keep in flight (~10 line-fill buffers) with headroom for chains.
 #ifndef IAWJ_HASH_PREFETCH_H_
 #define IAWJ_HASH_PREFETCH_H_
 
@@ -47,25 +45,6 @@ void ProbeBatched(const Table& table, const Tuple* tuples, size_t n,
     const Tuple t = tuples[i];
     table.Probe(
         t.key, [&](const auto& match) { on_match(t, match); }, tracer);
-  }
-}
-
-// Inserts tuples[0..n) into `table` in order, group-prefetching each
-// batch's destination buckets (for write) ahead of the inserts.
-template <typename Table, typename Tracer>
-void InsertBatched(Table& table, const Tuple* tuples, size_t n,
-                   Tracer& tracer) {
-  size_t i = 0;
-  for (; i + kBatchWidth <= n; i += kBatchWidth) {
-    for (size_t j = 0; j < kBatchWidth; ++j) {
-      table.PrefetchInsert(tuples[i + j].key);
-    }
-    for (size_t j = 0; j < kBatchWidth; ++j) {
-      table.Insert(tuples[i + j], tracer);
-    }
-  }
-  for (; i < n; ++i) {
-    table.Insert(tuples[i], tracer);
   }
 }
 

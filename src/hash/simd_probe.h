@@ -58,7 +58,7 @@ const char* SimdProbeUnsupportedReason();
 template <typename OnMatch>
 inline void ProbeKeyScalar(const Tuple* slots, uint64_t mask, uint32_t key,
                            OnMatch&& on_match) {
-  uint64_t idx = MultHash32(key) & mask;
+  uint64_t idx = HashToSlot(key, mask);
   while (true) {
     const Tuple slot = slots[idx];
     if (slot.key == LinearProbeTable<>::kEmptyKey) return;
@@ -84,7 +84,7 @@ inline void ProbeKeySimd(const Tuple* slots, uint64_t mask, uint32_t key,
   // Keys sit 4 bytes into each 8-byte slot: gather from &slots[0].key with
   // the slot index scaled by sizeof(Tuple).
   const int* key_base = reinterpret_cast<const int*>(&slots[0].key);
-  uint64_t idx = MultHash32(key) & mask;
+  uint64_t idx = HashToSlot(key, mask);
   while (true) {
     const __m256i vidx = _mm256_and_si256(
         _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(idx)), lane),

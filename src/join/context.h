@@ -56,8 +56,9 @@ std::string_view AlgorithmName(AlgorithmId id);
 bool IsLazy(AlgorithmId id);
 bool IsSortBased(AlgorithmId id);
 
-// Hash-table backend for PRJ partitions and the SHJ states (the NPJ shared
-// table is always the latched bucket chain).
+// Hash-table backend for PRJ partitions and the SHJ states (NPJ's shared
+// table is a chained table picked by the kernel plan; HHJ always probes
+// open addressing).
 enum class HashTableKind { kBucketChain, kLinearProbe };
 
 // Every tunable the paper studies (Table 1 knobs live in the workload
@@ -77,10 +78,10 @@ struct JoinSpec {
   bool use_simd = true;      // sort kernels: AVX ablation, Figure 21
   bool pin_threads = false;  // best-effort core pinning
   HashTableKind hash_table_kind = HashTableKind::kBucketChain;
-  // Hot-path kernel selection (common/kernels.h): auto picks the
-  // cache-conscious kernels (SWWC scatter + batched prefetch probe) on
-  // untraced builds and defers to $IAWJ_KERNELS when set; scalar/swwc force
-  // one side for A/B runs. SimTracer instantiations always run scalar.
+  // Hot-path kernel selection (common/kernels.h): auto runs each phase's
+  // measured winner (SWWC scatter, lock-free NPJ build, SIMD or batched
+  // probe) and defers to $IAWJ_KERNELS when set; scalar forces the paper's
+  // loops for A/B runs. SimTracer instantiations always run scalar.
   KernelMode kernels = KernelMode::kAuto;
   // Parallel-phase scheduling (join/scheduler.h): static keeps the paper's
   // equal-chunk division; morsel switches every parallel loop to the
@@ -174,6 +175,10 @@ struct JoinContext {
   CacheSim* const* cache_sims = nullptr;
   // Run-wide cancellation (deadline watchdog, memory-budget breaches).
   CancelToken* cancel = nullptr;
+  // The run's kernel plan (common/kernels.h), resolved once by the runner
+  // and narrowed to the algorithm's kernel_sites(). Algorithms read it
+  // rather than spec->kernels, so the run record names what ran.
+  KernelPlan kernels;
   // Per-run morsel scheduler (join/scheduler.h), always set by the runner.
   // Algorithms branch on scheduler->enabled(): false keeps the static
   // ChunkForThread division, true serves every parallel phase from morsel
@@ -237,6 +242,13 @@ class JoinAlgorithm {
   virtual Status Setup(const JoinContext& ctx) = 0;
   virtual void RunWorker(const JoinContext& ctx, int worker) = 0;
   virtual void Teardown() {}
+
+  // The hot-path kernel sites this algorithm has under `spec`; the runner
+  // narrows JoinContext::kernels to them. The default has none.
+  virtual KernelSites kernel_sites(const JoinSpec& spec) const {
+    (void)spec;
+    return {};
+  }
 
   // Spill accounting for algorithms that stage partitions on disk
   // (join/hhj.h); nullptr for the in-memory algorithms. The runner reads it

@@ -58,10 +58,8 @@ std::unique_ptr<EagerState> EagerJoin<Tracer>::MakeState(
   config.pmj_delta = ctx.spec->pmj_delta;
   config.store_pointers = !ctx.spec->eager_physical_partition;
   config.use_simd = ctx.spec->use_simd;
-  const KernelPlan plan =
-      ResolveKernelPlan(ctx.spec->kernels, Tracer::kEnabled);
-  config.cache_kernels = plan.batched_probe;
-  config.simd_probe = plan.simd_probe;
+  config.cache_kernels = ctx.kernels.batched_probe || ctx.kernels.simd_probe;
+  config.simd_probe = ctx.kernels.simd_probe;
   if (scheme_ == DistributionScheme::kJoinMatrix) {
     config.expected_r = ctx.r.size();  // R replicated to every worker
     config.expected_s = ctx.s.size() / threads + 1;

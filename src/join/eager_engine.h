@@ -51,14 +51,14 @@ struct EagerStateConfig {
   double pmj_delta = 0.2;
   bool store_pointers = false;  // !JoinSpec::eager_physical_partition
   bool use_simd = true;
-  // Cache-conscious kernels resolved from JoinSpec::kernels
-  // (common/kernels.h). SHJ is per-tuple, so its kernel is a cross-table
-  // prefetch: hint the opposite table's probe bucket before the insert so
-  // the probe's miss overlaps the build work. Always false under SimTracer.
+  // Non-scalar probe kernels from the run's plan (JoinContext::kernels).
+  // SHJ is per-tuple, so its kernel is a cross-table prefetch: hint the
+  // opposite table's probe bucket before the insert so the probe's miss
+  // overlaps the build work. Always false under SimTracer.
   bool cache_kernels = false;
-  // kernels=simd resolved to a supported AVX2 host (KernelPlan::simd_probe):
-  // ShjLinearState runs each per-tuple probe as one vertical cluster scan
-  // (hash/simd_probe.h). Ignored by the bucket-chain states.
+  // The plan's AVX2 probe (KernelPlan::simd_probe, set only for
+  // linear-probe tables on AVX2 hosts): ShjLinearState runs each per-tuple
+  // probe as one vertical cluster scan (hash/simd_probe.h).
   bool simd_probe = false;
 };
 
@@ -94,6 +94,13 @@ class EagerJoin : public JoinAlgorithm {
       : kind_(kind), scheme_(scheme) {}
 
   std::string_view name() const override;
+
+  // SHJ probes its per-stream tables on every arrival; PMJ probes none.
+  KernelSites kernel_sites(const JoinSpec& spec) const override {
+    if (kind_ != EagerKind::kShj) return {};
+    const bool linear = spec.hash_table_kind == HashTableKind::kLinearProbe;
+    return {.chained_probe = !linear, .linear_probe = linear};
+  }
 
   Status Setup(const JoinContext& ctx) override;
   void RunWorker(const JoinContext& ctx, int worker) override;

@@ -45,7 +45,6 @@ template <typename Tracer>
 Status HhjJoin<Tracer>::Setup(const JoinContext& ctx) {
   const int threads = ctx.spec->num_threads;
   const int64_t budget = mem::BudgetBytes();
-  plan_ = ResolveKernelPlan(ctx.spec->kernels, Tracer::kEnabled);
 
   // Fanout and page size adapt to the budget: all spill write buffers (two
   // relations' worth) must fit inside one budget quarter.
@@ -246,9 +245,8 @@ bool HhjJoin<Tracer>::JoinResident(const JoinContext& ctx, size_t p,
   {
     ScopedPhase probe(&prof, Phase::kProbe);
     tracer.SetPhase(Phase::kProbe);
-    if (plan_.batched_probe || plan_.simd_probe) {
-      // Batched/SIMD probe in cancel-cadence stripes; HHJ always probes a
-      // LinearProbeTable, so kernels=simd takes the AVX2 vertical scan.
+    if (ctx.kernels.batched_probe || ctx.kernels.simd_probe) {
+      // SIMD (or, without AVX2, batched) probe in cancel-cadence stripes.
       constexpr uint64_t kStripe = kCancelMask + 1;
       const auto on_match = [&](const Tuple& st, const Tuple& rt) {
         sink.OnMatch(st.key, rt.ts, st.ts);
@@ -257,7 +255,7 @@ bool HhjJoin<Tracer>::JoinResident(const JoinContext& ctx, size_t p,
         if (ctx.AbortRequested()) return false;
         const uint64_t end = std::min<uint64_t>(hs_[p], i + kStripe);
         kernels::ProbeDispatch(table, s + i, end - i, on_match, tracer,
-                               plan_);
+                               ctx.kernels);
       }
     } else {
       for (uint64_t i = 0; i < hs_[p]; ++i) {
@@ -315,14 +313,14 @@ Status HhjJoin<Tracer>::JoinLoadedRun(const JoinContext& ctx, int worker,
       status = ctx.cancel->reason();
       break;
     }
-    if (plan_.batched_probe || plan_.simd_probe) {
+    if (ctx.kernels.batched_probe || ctx.kernels.simd_probe) {
       // One spill page is well under the cancel stripe; dispatch it whole.
       kernels::ProbeDispatch(
           table, page.data(), page.size(),
           [&](const Tuple& st, const Tuple& rt) {
             sink.OnMatch(st.key, rt.ts, st.ts);
           },
-          tracer, plan_);
+          tracer, ctx.kernels);
     } else {
       for (size_t i = 0; i < page.size(); ++i) {
         if ((i & kCancelMask) == 0 && ctx.Cancelled()) {

@@ -39,6 +39,12 @@ class HhjJoin : public JoinAlgorithm {
  public:
   std::string_view name() const override { return "HHJ"; }
 
+  // Its own scalar scatter (resident or spilled per tuple) and private
+  // builds; every probe is of a LinearProbeTable.
+  KernelSites kernel_sites(const JoinSpec&) const override {
+    return {.linear_probe = true};
+  }
+
   Status Setup(const JoinContext& ctx) override;
   void RunWorker(const JoinContext& ctx, int worker) override;
   void Teardown() override;
@@ -88,11 +94,6 @@ class HhjJoin : public JoinAlgorithm {
   void NoteDepth(int depth);
   void NoteElapsedUs(uint64_t us);
 
-  // Resolved once in Setup; HHJ builds are scalar (its tables are private
-  // per worker), but the probe loops dispatch on the plan — batched
-  // prefetching or, on the linear-probe tables HHJ always uses, the AVX2
-  // vertical probe (hash/simd_probe.h).
-  KernelPlan plan_;
   int bits_ = 0;
   size_t parts_ = 0;
   size_t page_bytes_ = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/hash/prefetch.h"
-#include "src/hash/simd_probe.h"
 
 namespace iawj {
 
@@ -14,7 +13,6 @@ void NpjJoin<Tracer>::RunWorkerOn(Table& table, const JoinContext& ctx,
   PhaseProfile& prof = ctx.profile(worker);
   MatchSink& sink = ctx.sink(worker);
   Tracer tracer = MakeWorkerTracer<Tracer>(ctx, worker);
-  const bool batched = plan_.batched_probe || plan_.simd_probe;
 
   // Cancellation checkpoints every 8K tuples: one relaxed load amortized
   // over the batch, invisible next to the hash-table work. The batched
@@ -33,11 +31,8 @@ void NpjJoin<Tracer>::RunWorkerOn(Table& table, const JoinContext& ctx,
   const bool morsel = ctx.MorselMode();
 
   // Build: all threads insert R into the shared table — their equisized
-  // chunks in static mode, dynamically claimed morsels otherwise. Inserts
-  // are always one-at-a-time: the batched build variant was retired after
-  // it measured 0.95x of scalar (BENCH_baseline.json "notes"); with
-  // kernels=lockfree the per-insert latch acquisition becomes one release
-  // CAS instead.
+  // chunks in static mode, dynamically claimed morsels otherwise. Under the
+  // auto plan each insert is one release CAS instead of a latch round trip.
   {
     ScopedPhase build(&prof, Phase::kBuild);
     tracer.SetPhase(Phase::kBuild);
@@ -68,15 +63,15 @@ void NpjJoin<Tracer>::RunWorkerOn(Table& table, const JoinContext& ctx,
     ScopedPhase probe(&prof, Phase::kProbe);
     tracer.SetPhase(Phase::kProbe);
     const auto probe_range = [&](const ChunkRange& chunk) -> bool {
-      if (batched) {
+      if (ctx.kernels.batched_probe) {
         const auto on_match = [&](const Tuple& s, const Tuple& r) {
           sink.OnMatch(s.key, r.ts, s.ts);
         };
         for (size_t i = chunk.begin; i < chunk.end; i += kCancelStripe) {
           if (ctx.AbortRequested()) return false;
           const size_t end = std::min(chunk.end, i + kCancelStripe);
-          kernels::ProbeDispatch(table, ctx.s.data() + i, end - i, on_match,
-                                 tracer, plan_);
+          kernels::ProbeBatched(table, ctx.s.data() + i, end - i, on_match,
+                                tracer);
         }
       } else {
         for (size_t i = chunk.begin; i < chunk.end; ++i) {

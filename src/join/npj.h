@@ -1,8 +1,10 @@
 // No-Partitioning Join (NPJ), Blanas et al. — lazy, hash, shared table.
 //
 // Both relations split into equisized per-thread portions; all threads
-// populate one shared latched hash table with R, synchronize on a barrier,
-// then concurrently probe with their portions of S (paper §3.1).
+// populate one shared hash table with R, synchronize on a barrier, then
+// concurrently probe with their portions of S (paper §3.1). The table is
+// the paper's latched bucket chain under scalar kernels and the lock-free
+// CAS chain table under the auto plan (common/kernels.h).
 #ifndef IAWJ_JOIN_NPJ_H_
 #define IAWJ_JOIN_NPJ_H_
 
@@ -21,20 +23,22 @@ class NpjJoin : public JoinAlgorithm {
  public:
   std::string_view name() const override { return "NPJ"; }
 
+  KernelSites kernel_sites(const JoinSpec&) const override {
+    return {.shared_build = true, .chained_probe = true};
+  }
+
   Status Setup(const JoinContext& ctx) override {
-    plan_ = ResolveKernelPlan(ctx.spec->kernels, Tracer::kEnabled);
-    // kernels=lockfree swaps the latched bucket-chain table for the CAS
-    // head-pointer table; both preflight their full footprint first.
+    // Both shared tables preflight their full footprint first.
+    const bool lockfree = ctx.kernels.lockfree_build;
     const int64_t table_bytes =
-        plan_.lockfree_build
-            ? LockFreeChainTable<Tracer>::TrackedBytesFor(ctx.r.size())
-            : ConcurrentBucketChainTable<Tracer>::TrackedBytesFor(
-                  ctx.r.size());
+        lockfree ? LockFreeChainTable<Tracer>::TrackedBytesFor(ctx.r.size())
+                 : ConcurrentBucketChainTable<Tracer>::TrackedBytesFor(
+                       ctx.r.size());
     if (Status s = mem::Preflight(table_bytes, "NPJ shared hash table");
         !s.ok()) {
       return s;
     }
-    if (plan_.lockfree_build) {
+    if (lockfree) {
       lockfree_table_ =
           std::make_unique<LockFreeChainTable<Tracer>>(ctx.r.size());
     } else {
@@ -64,7 +68,6 @@ class NpjJoin : public JoinAlgorithm {
   template <typename Table>
   void RunWorkerOn(Table& table, const JoinContext& ctx, int worker);
 
-  KernelPlan plan_;
   std::unique_ptr<ConcurrentBucketChainTable<Tracer>> table_;
   std::unique_ptr<LockFreeChainTable<Tracer>> lockfree_table_;
   MorselPhase build_phase_;

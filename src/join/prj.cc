@@ -30,8 +30,6 @@ Status PrjJoin<Tracer>::Setup(const JoinContext& ctx) {
   }
   parts1_ = size_t{1} << bits1_;
   parts_total_ = size_t{1} << bits;
-  plan_ = ResolveKernelPlan(ctx.spec->kernels, Tracer::kEnabled);
-  use_cache_kernels_ = plan_.swwc_scatter;
 
   // Scattered copies of both relations, doubled in two-pass mode, dominate
   // PRJ's footprint; preflight them against the memory budget before
@@ -165,7 +163,7 @@ bool PrjJoin<Tracer>::RunSecondPass(const JoinContext& ctx, int worker,
       // pass 1 (the shift selects the second-pass radix).
       RadixScatterKernel(in.data() + begin, end - begin, bits2_,
                          cursors.data(), out.data(), tracer,
-                         use_cache_kernels_, /*shift=*/bits1_);
+                         ctx.kernels.swwc_scatter, /*shift=*/bits1_);
     };
     refine(r_out_, r_out2_, offsets_r_, final_off_r_);
     refine(s_out_, s_out2_, offsets_s_, final_off_s_);
@@ -199,13 +197,13 @@ bool PrjJoin<Tracer>::JoinPartitions(const JoinContext& ctx, int worker,
   };
 
   // Build/probe one partition with the configured hash-table backend. The
-  // batched probe kernels group-prefetch bucket heads (hash/prefetch.h) and
-  // kernels=simd runs the AVX2 vertical probe on linear-probe tables
-  // (hash/simd_probe.h); mostly a wash for cache-resident partitions but a
-  // clear win once skew or low radix bits leave partitions bigger than L2.
-  // Builds stay scalar in every plan: the batched build variant measured
-  // 0.95x of scalar and was retired (BENCH_baseline.json "notes").
-  const bool nonscalar_probe = plan_.batched_probe || plan_.simd_probe;
+  // auto plan probes linear-probe tables with the AVX2 vertical probe
+  // (hash/simd_probe.h) and bucket chains with the group-prefetched batched
+  // probe (hash/prefetch.h); the latter is mostly a wash for cache-resident
+  // partitions but a clear win once skew or low radix bits leave partitions
+  // bigger than L2. Partition-private builds stay scalar.
+  const KernelPlan& plan = ctx.kernels;
+  const bool nonscalar_probe = plan.batched_probe || plan.simd_probe;
   const auto join_one = [&](auto& table, uint64_t r_begin, uint64_t r_end,
                             uint64_t s_begin, uint64_t s_end) {
     {
@@ -225,7 +223,7 @@ bool PrjJoin<Tracer>::JoinPartitions(const JoinContext& ctx, int worker,
             [&](const Tuple& s, const Tuple& r) {
               sink.OnMatch(s.key, r.ts, s.ts);
             },
-            tracer, plan_);
+            tracer, plan);
       } else {
         for (uint64_t i = s_begin; i < s_end; ++i) {
           const Tuple s = s_data[i];
@@ -363,13 +361,13 @@ void PrjJoin<Tracer>::RunWorker(const JoinContext& ctx, int worker) {
         if (ctx.AbortRequested()) return;
         RadixScatterKernel(ctx.r.data() + m.begin, m.size(), bits1_,
                            &cursors_r_[(m.begin / morsel_r_) * parts1_],
-                           r_out_.data(), tracer, use_cache_kernels_);
+                           r_out_.data(), tracer, ctx.kernels.swwc_scatter);
       }
       while (scatter_phase_s_.Next(*ctx.scheduler, worker, &m)) {
         if (ctx.AbortRequested()) return;
         RadixScatterKernel(ctx.s.data() + m.begin, m.size(), bits1_,
                            &cursors_s_[(m.begin / morsel_s_) * parts1_],
-                           s_out_.data(), tracer, use_cache_kernels_);
+                           s_out_.data(), tracer, ctx.kernels.swwc_scatter);
       }
     } else {
       const ChunkRange r_chunk =
@@ -379,11 +377,11 @@ void PrjJoin<Tracer>::RunWorker(const JoinContext& ctx, int worker) {
       auto r_cursors = ScatterCursors(hist_r_, offsets_r_, parts1_, worker);
       RadixScatterKernel(ctx.r.data() + r_chunk.begin, r_chunk.size(),
                          bits1_, r_cursors.data(), r_out_.data(), tracer,
-                         use_cache_kernels_);
+                         ctx.kernels.swwc_scatter);
       auto s_cursors = ScatterCursors(hist_s_, offsets_s_, parts1_, worker);
       RadixScatterKernel(ctx.s.data() + s_chunk.begin, s_chunk.size(),
                          bits1_, s_cursors.data(), s_out_.data(), tracer,
-                         use_cache_kernels_);
+                         ctx.kernels.swwc_scatter);
     }
     if (ctx.AbortRequested()) return;
     ctx.barrier->arrive_and_wait();

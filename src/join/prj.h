@@ -30,6 +30,13 @@ class PrjJoin : public JoinAlgorithm {
  public:
   std::string_view name() const override { return "PRJ"; }
 
+  KernelSites kernel_sites(const JoinSpec& spec) const override {
+    const bool linear = spec.hash_table_kind == HashTableKind::kLinearProbe;
+    return {.radix_scatter = true,
+            .chained_probe = !linear,
+            .linear_probe = linear};
+  }
+
   Status Setup(const JoinContext& ctx) override;
   void RunWorker(const JoinContext& ctx, int worker) override;
   void Teardown() override;
@@ -43,11 +50,6 @@ class PrjJoin : public JoinAlgorithm {
   // Bit split: pass 1 uses the low bits1_ bits, pass 2 the next bits2_.
   int bits1_ = 0;
   int bits2_ = 0;
-  // Resolved once in Setup: the per-site kernel plan (common/kernels.h) —
-  // SWWC scatter, batched/SIMD probe — vs the scalar loops. Builds are
-  // always scalar (the batched build was retired; see kernels.h).
-  KernelPlan plan_;
-  bool use_cache_kernels_ = false;  // plan_.swwc_scatter, for the scatter API
   // Resolved once in Setup: morsel-driven scheduling (join/scheduler.h).
   // Pass 1 histograms/cursors become per-morsel instead of per-thread, and
   // the refine/join task queues drain through morsel phases so steals are

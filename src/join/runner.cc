@@ -167,12 +167,15 @@ RunResult JoinRunner::RunWith(JoinAlgorithm* algorithm, const Stream& r,
   result.morsel_size = scheduler.morsel_size();
   result.numa_nodes = scheduler.num_nodes();
 
-  // Resolve the kernel plan the algorithms will resolve in Setup (identical
-  // inputs, deterministic result) so the run record's v8 `kernels` block
-  // names the variants that actually ran — tracer forcing and the AVX2
-  // runtime dispatch included. Traced runs are the ones given simulators.
-  const KernelPlan kernel_plan =
-      ResolveKernelPlan(spec.kernels, /*tracer_enabled=*/cache_sims != nullptr);
+  // Resolve the kernel plan once, narrowed to the sites this algorithm has;
+  // the algorithms read it from the context, so the run record's v8
+  // `kernels` block names the variants that ran — tracer forcing and the
+  // AVX2 runtime dispatch included. Traced runs are the ones given
+  // simulators.
+  ctx.kernels =
+      ResolveKernelPlan(spec.kernels, /*tracer_enabled=*/cache_sims != nullptr)
+          .For(algorithm->kernel_sites(spec));
+  const KernelPlan& kernel_plan = ctx.kernels;
   result.kernels_resolved = kernel_plan.mode;
   result.kernel_scatter = std::string(KernelScatterVariant(kernel_plan));
   result.kernel_build = std::string(KernelBuildVariant(kernel_plan));
@@ -450,8 +453,7 @@ RunResult JoinRunner::RunWith(JoinAlgorithm* algorithm, const Stream& r,
     static metrics::Counter* lockfree_build_runs =
         metrics::GetCounter("kernels.lockfree_build_runs");
     if (swwc_runs != nullptr && kernel_plan.swwc_scatter) swwc_runs->Add();
-    if (batched_probe_runs != nullptr && kernel_plan.batched_probe &&
-        !kernel_plan.simd_probe) {
+    if (batched_probe_runs != nullptr && kernel_plan.batched_probe) {
       batched_probe_runs->Add();
     }
     if (simd_probe_runs != nullptr && kernel_plan.simd_probe) {
@@ -465,9 +467,9 @@ RunResult JoinRunner::RunWith(JoinAlgorithm* algorithm, const Stream& r,
     trace::Counter("matches", static_cast<double>(result.matches));
     trace::Counter("peak_tracked_bytes",
                    static_cast<double>(result.peak_tracked_bytes));
-    // Mirror the run record's v8 kernels block into the trace so a span can
-    // be attributed to the variant that produced it (the KernelMode enum
-    // ordinal; resolved modes are never kAuto).
+    // Mirror the run record's v8 kernels mode into the trace so a span can
+    // be attributed to the plan that produced it (the KernelMode enum
+    // ordinal: 0 = auto, 1 = scalar).
     trace::Counter("kernel_mode",
                    static_cast<double>(result.kernels_resolved));
     if (result.spill.any()) {

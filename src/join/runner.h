@@ -70,9 +70,10 @@ struct RunResult {
   pmu::PmuReport pmu;
 
   // The kernel plan the run executed (common/kernels.h): the resolved mode
-  // (never kAuto) and the variant each hot-path phase actually took,
-  // accounting for tracer forcing and AVX2 runtime dispatch. Serialized as
-  // the run record's v8 `kernels` block.
+  // (scalar under a tracer or $IAWJ_KERNELS=scalar, else auto) and the
+  // variant each hot-path phase actually took on this algorithm's sites,
+  // accounting for AVX2 runtime dispatch. Serialized as the run record's v8
+  // `kernels` block.
   KernelMode kernels_resolved = KernelMode::kScalar;
   std::string kernel_scatter = "scalar";  // "scalar" | "swwc"
   std::string kernel_build = "scalar";    // "scalar" | "lockfree"

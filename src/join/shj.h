@@ -60,12 +60,9 @@ class PointerBucketChainTable {
     head->items[head->count++] = t;
   }
 
-  // Prefetch hints matching the value tables' (hash/prefetch.h).
+  // Prefetch hint matching the value tables' (hash/prefetch.h).
   void PrefetchProbe(uint32_t key) const {
     __builtin_prefetch(&buckets_[HashToBucket(key, bits_)], /*rw=*/0, 3);
-  }
-  void PrefetchInsert(uint32_t key) const {
-    __builtin_prefetch(&buckets_[HashToBucket(key, bits_)], /*rw=*/1, 3);
   }
 
   template <typename F>
@@ -186,7 +183,7 @@ class ShjLinearState : public EagerState {
   // SHJ is one probe per arrival, so there is no batch to amortize over —
   // but the vertical kernel still collapses the opposite table's cluster
   // walk into one gather + compare per 8 slots (EagerStateConfig::
-  // simd_probe; resolved false under SimTracer and on non-AVX2 hosts).
+  // simd_probe; false under SimTracer and on non-AVX2 hosts).
   template <typename F>
   void ProbeOpposite(const LinearProbeTable<Tracer>& table, uint32_t key,
                      F&& on_match) {

@@ -136,9 +136,9 @@ std::string RunRecordJson(const RunResult& result, const JoinSpec& spec,
   w.Field("pin_threads", spec.pin_threads);
   w.Field("hash_table_kind", HashTableKindName(spec.hash_table_kind));
   w.Field("kernels", KernelModeName(spec.kernels));
-  // The mode the run actually used: `kernels` is the spec knob as given
-  // (often "auto"), resolved here against $IAWJ_KERNELS so A/B tooling can
-  // key on what executed without replicating the resolution rules.
+  // The mode the run asked for after the environment: `kernels` is the
+  // spec knob as given, resolved here against $IAWJ_KERNELS so A/B tooling
+  // can key on it without replicating the resolution rules.
   w.Field("kernels_resolved",
           KernelModeName(ResolveKernelMode(spec.kernels)));
   // Same spec-knob / resolved-mode split as the kernels pair: `scheduler`

@@ -1,28 +1,30 @@
 // Differential property test for the kernel layer and the morsel
 // scheduler: every algorithm must produce the exact multiset of matches
 // (count + order-insensitive checksum vs the sequential nested-loop
-// reference) under ALL kernel modes — forced-scalar, SWWC/batched, AVX2
-// SIMD probe, and lock-free CAS build — under both hash-table substrates
-// for the modes that exercise the open-addressing table, and BOTH
-// scheduler modes — static chunking and morsel-driven
-// work stealing with a deliberately tiny morsel size — across seeded
-// randomized workloads. The workloads deliberately include sizes whose
-// tails are not divisible by the SWWC line width (8) or the probe batch
-// width (16), heavy duplication, skew, and thread counts including 1, odd,
-// and more threads than tuples (so workers start with empty morsel ranges).
+// reference) under both kernel modes — the paper's scalar loops and the
+// auto plan (SWWC scatter, lock-free NPJ build, AVX2 or batched probe) —
+// under both hash-table substrates, and under BOTH scheduler modes —
+// static chunking and morsel-driven work stealing with a deliberately tiny
+// morsel size — across seeded randomized workloads. The workloads
+// deliberately include sizes whose tails are not divisible by the SWWC line
+// width (8), the SIMD probe width (8) or the probe batch width (16), heavy
+// duplication, skew, and thread counts including 1, odd, and more threads
+// than tuples (so workers start with empty morsel ranges).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/common/kernels.h"
 #include "src/common/rng.h"
 #include "src/datagen/micro.h"
-#include "src/hash/prefetch.h"
 #include "src/hash/simd_probe.h"
 #include "src/join/reference.h"
 #include "src/join/runner.h"
-#include "src/partition/swwc.h"
+#include "src/serve/protocol.h"
 
 namespace iawj {
 namespace {
@@ -73,25 +75,12 @@ void ExpectAllAlgorithmsMatchReference(const RandomWorkload& w) {
   const Stream s = MakeStream(w.s);
   const ReferenceResult expected = NestedLoopJoin(r.view(), s.view());
 
-  for (const KernelMode mode :
-       {KernelMode::kScalar, KernelMode::kSwwc, KernelMode::kSimd,
-        KernelMode::kLockfree}) {
+  for (const KernelMode mode : kAllKernelModes) {
     for (const SchedulerMode sched :
          {SchedulerMode::kStatic, SchedulerMode::kMorsel}) {
-      for (AlgorithmId id : kAllAlgorithms) {
-        // The simd plan's main consumers are the open-addressing tables:
-        // exercise the vertical probe through SHJ/PRJ too, not just HHJ.
-        // Scalar gets the same treatment so the linear-probe grid has its
-        // own reference axis. One table kind per (mode, sched) otherwise.
-        const bool also_linear =
-            (mode == KernelMode::kSimd || mode == KernelMode::kScalar) &&
-            sched == SchedulerMode::kStatic;
-        for (const HashTableKind table_kind :
-             also_linear ? std::vector<HashTableKind>{
-                               HashTableKind::kBucketChain,
-                               HashTableKind::kLinearProbe}
-                         : std::vector<HashTableKind>{
-                               HashTableKind::kBucketChain}) {
+      for (const HashTableKind table_kind :
+           {HashTableKind::kBucketChain, HashTableKind::kLinearProbe}) {
+        for (AlgorithmId id : kAllAlgorithms) {
           SCOPED_TRACE(testing::Message()
                        << w.name << " algo=" << AlgorithmName(id)
                        << " kernels=" << KernelModeName(mode)
@@ -190,88 +179,132 @@ TEST(DifferentialEdges, MoreThreadsThanTuples) {
 // The knob plumbing itself: auto defers to the environment, spec wins over
 // everything, and tracing always forces scalar kernels.
 TEST(KernelModeResolution, SpecEnvAndTracerPrecedence) {
-  EXPECT_TRUE(UseCacheKernels(KernelMode::kSwwc, /*tracer_enabled=*/false));
-  EXPECT_FALSE(UseCacheKernels(KernelMode::kScalar, /*tracer_enabled=*/false));
-  EXPECT_FALSE(UseCacheKernels(KernelMode::kSwwc, /*tracer_enabled=*/true));
-  EXPECT_FALSE(UseCacheKernels(KernelMode::kAuto, /*tracer_enabled=*/true));
+  ASSERT_EQ(unsetenv("IAWJ_KERNELS"), 0);
+  EXPECT_EQ(ResolveKernelMode(KernelMode::kAuto), KernelMode::kAuto);
+  EXPECT_EQ(ResolveKernelMode(KernelMode::kScalar), KernelMode::kScalar);
 
   ASSERT_EQ(setenv("IAWJ_KERNELS", "scalar", 1), 0);
   EXPECT_EQ(ResolveKernelMode(KernelMode::kAuto), KernelMode::kScalar);
-  EXPECT_FALSE(UseCacheKernels(KernelMode::kAuto, false));
-  EXPECT_TRUE(UseCacheKernels(KernelMode::kSwwc, false));  // spec wins
-  ASSERT_EQ(setenv("IAWJ_KERNELS", "swwc", 1), 0);
-  EXPECT_EQ(ResolveKernelMode(KernelMode::kAuto), KernelMode::kSwwc);
+  const KernelPlan from_env =
+      ResolveKernelPlan(KernelMode::kAuto, /*tracer_enabled=*/false);
+  EXPECT_EQ(from_env.mode, KernelMode::kScalar);
+  EXPECT_FALSE(from_env.swwc_scatter || from_env.lockfree_build ||
+               from_env.batched_probe || from_env.simd_probe);
+  ASSERT_EQ(setenv("IAWJ_KERNELS", "auto", 1), 0);
+  EXPECT_EQ(ResolveKernelMode(KernelMode::kScalar),
+            KernelMode::kScalar);  // spec wins
   ASSERT_EQ(unsetenv("IAWJ_KERNELS"), 0);
-  EXPECT_EQ(ResolveKernelMode(KernelMode::kAuto), KernelMode::kAuto);
-
-  KernelMode parsed;
-  EXPECT_TRUE(ParseKernelMode("auto", &parsed));
-  EXPECT_EQ(parsed, KernelMode::kAuto);
-  EXPECT_TRUE(ParseKernelMode("swwc", &parsed));
-  EXPECT_EQ(parsed, KernelMode::kSwwc);
-  EXPECT_TRUE(ParseKernelMode("simd", &parsed));
-  EXPECT_EQ(parsed, KernelMode::kSimd);
-  EXPECT_TRUE(ParseKernelMode("lockfree", &parsed));
-  EXPECT_EQ(parsed, KernelMode::kLockfree);
-  EXPECT_FALSE(ParseKernelMode("vectorized", &parsed));
-}
-
-// The per-site plan: what each mode resolves to, per phase — including the
-// batched-build retirement (builds are scalar in every plan) and the
-// tracer/AVX2 forcing rules.
-TEST(KernelModeResolution, PlanPerPhaseVariants) {
-  const KernelPlan scalar =
-      ResolveKernelPlan(KernelMode::kScalar, /*tracer_enabled=*/false);
-  EXPECT_EQ(scalar.mode, KernelMode::kScalar);
-  EXPECT_FALSE(scalar.swwc_scatter);
-  EXPECT_FALSE(scalar.batched_probe);
-  EXPECT_FALSE(scalar.simd_probe);
-  EXPECT_FALSE(scalar.lockfree_build);
-  EXPECT_EQ(KernelScatterVariant(scalar), "scalar");
-  EXPECT_EQ(KernelBuildVariant(scalar), "scalar");
-  EXPECT_EQ(KernelProbeVariant(scalar), "scalar");
-
-  const KernelPlan swwc =
-      ResolveKernelPlan(KernelMode::kSwwc, /*tracer_enabled=*/false);
-  EXPECT_TRUE(swwc.swwc_scatter);
-  EXPECT_TRUE(swwc.batched_probe);
-  // Satellite of the PR-4 regression fix: no plan batches builds anymore.
-  EXPECT_EQ(KernelBuildVariant(swwc), "scalar");
-  EXPECT_EQ(KernelProbeVariant(swwc), "batched");
-  EXPECT_EQ(KernelScatterVariant(swwc), "swwc");
-
-  const KernelPlan lockfree =
-      ResolveKernelPlan(KernelMode::kLockfree, /*tracer_enabled=*/false);
-  EXPECT_TRUE(lockfree.lockfree_build);
-  EXPECT_TRUE(lockfree.swwc_scatter);
-  EXPECT_EQ(KernelBuildVariant(lockfree), "lockfree");
-
-  const KernelPlan simd =
-      ResolveKernelPlan(KernelMode::kSimd, /*tracer_enabled=*/false);
-  EXPECT_EQ(simd.simd_probe, kernels::SimdProbeSupported());
-  if (simd.simd_probe) {
-    EXPECT_EQ(KernelProbeVariant(simd), "simd");
-  } else {
-    // Non-AVX2 host: the plan degrades to the batched probe.
-    EXPECT_EQ(KernelProbeVariant(simd), "batched");
-  }
 
   // SimTracer runs force the all-scalar plan regardless of the knob.
   for (const KernelMode mode : kAllKernelModes) {
     const KernelPlan traced = ResolveKernelPlan(mode, /*tracer_enabled=*/true);
     EXPECT_EQ(traced.mode, KernelMode::kScalar);
     EXPECT_FALSE(traced.swwc_scatter);
-    EXPECT_FALSE(traced.simd_probe);
     EXPECT_FALSE(traced.lockfree_build);
+    EXPECT_FALSE(traced.batched_probe);
+    EXPECT_FALSE(traced.simd_probe);
   }
 
-  // The $IAWJ_SIMD_PROBE kill switch forces the runtime fallback.
+  KernelMode parsed = KernelMode::kScalar;
+  EXPECT_TRUE(ParseKernelMode("auto", &parsed));
+  EXPECT_EQ(parsed, KernelMode::kAuto);
+  EXPECT_TRUE(ParseKernelMode("scalar", &parsed));
+  EXPECT_EQ(parsed, KernelMode::kScalar);
+  EXPECT_EQ(KernelModeChoices(), "auto|scalar");
+}
+
+// The per-phase plan: auto is every phase's measured winner, the SIMD probe
+// only where the host runs it, and narrowing to an algorithm's sites keeps
+// only the variants it has.
+TEST(KernelModeResolution, PlanPerPhaseVariants) {
+  ASSERT_EQ(unsetenv("IAWJ_KERNELS"), 0);
+  ASSERT_EQ(unsetenv("IAWJ_SIMD_PROBE"), 0);
+  const KernelPlan scalar =
+      ResolveKernelPlan(KernelMode::kScalar, /*tracer_enabled=*/false);
+  EXPECT_EQ(scalar.mode, KernelMode::kScalar);
+  EXPECT_EQ(KernelScatterVariant(scalar), "scalar");
+  EXPECT_EQ(KernelBuildVariant(scalar), "scalar");
+  EXPECT_EQ(KernelProbeVariant(scalar), "scalar");
+
+  const KernelPlan plan =
+      ResolveKernelPlan(KernelMode::kAuto, /*tracer_enabled=*/false);
+  EXPECT_EQ(plan.mode, KernelMode::kAuto);
+  EXPECT_TRUE(plan.swwc_scatter);
+  EXPECT_TRUE(plan.lockfree_build);
+  EXPECT_TRUE(plan.batched_probe);
+  EXPECT_EQ(plan.simd_probe, kernels::SimdProbeSupported());
+  const std::string linear_probe =
+      plan.simd_probe ? "simd" : "batched";  // non-AVX2 hosts: batched
+
+  // Narrowed to NPJ's sites (shared build, chained probe).
+  const KernelPlan npj =
+      plan.For({.shared_build = true, .chained_probe = true});
+  EXPECT_EQ(npj.mode, KernelMode::kAuto);
+  EXPECT_EQ(KernelScatterVariant(npj), "scalar");
+  EXPECT_EQ(KernelBuildVariant(npj), "lockfree");
+  EXPECT_EQ(KernelProbeVariant(npj), "batched");
+  // PRJ over bucket chains, then over linear-probe tables.
+  const KernelPlan prj =
+      plan.For({.radix_scatter = true, .chained_probe = true});
+  EXPECT_EQ(KernelScatterVariant(prj), "swwc");
+  EXPECT_EQ(KernelBuildVariant(prj), "scalar");
+  EXPECT_EQ(KernelProbeVariant(prj), "batched");
+  const KernelPlan prj_linear =
+      plan.For({.radix_scatter = true, .linear_probe = true});
+  EXPECT_EQ(KernelProbeVariant(prj_linear), linear_probe);
+  // A sort join has none of the sites.
+  const KernelPlan sort = plan.For({});
+  EXPECT_EQ(sort.mode, KernelMode::kAuto);
+  EXPECT_EQ(KernelScatterVariant(sort), "scalar");
+  EXPECT_EQ(KernelBuildVariant(sort), "scalar");
+  EXPECT_EQ(KernelProbeVariant(sort), "scalar");
+
+  // The $IAWJ_SIMD_PROBE kill switch leaves linear-probe tables the
+  // batched probe.
   ASSERT_EQ(setenv("IAWJ_SIMD_PROBE", "0", 1), 0);
   const KernelPlan killed =
-      ResolveKernelPlan(KernelMode::kSimd, /*tracer_enabled=*/false);
+      ResolveKernelPlan(KernelMode::kAuto, /*tracer_enabled=*/false);
   EXPECT_FALSE(killed.simd_probe);
-  EXPECT_EQ(KernelProbeVariant(killed), "batched");
+  EXPECT_TRUE(killed.batched_probe);
+  EXPECT_TRUE(killed.lockfree_build);
+  EXPECT_EQ(KernelProbeVariant(killed.For({.linear_probe = true})),
+            "batched");
   ASSERT_EQ(unsetenv("IAWJ_SIMD_PROBE"), 0);
+}
+
+// The modes that used to bundle single variants are gone from every
+// surface that parses a mode name.
+TEST(KernelModeResolution, RetiredModesAreRefused) {
+  for (const char* retired : {"swwc", "simd", "lockfree"}) {
+    SCOPED_TRACE(retired);
+    KernelMode parsed = KernelMode::kScalar;
+    EXPECT_FALSE(ParseKernelMode(retired, &parsed));
+    EXPECT_EQ(parsed, KernelMode::kScalar);
+
+    json::Value hello;
+    ASSERT_TRUE(json::Parse(std::string(R"({"op":"hello","tenant":"t",)") +
+                                R"("algo":"npj","kernels":")" + retired +
+                                R"("})",
+                            &hello)
+                    .ok());
+    serve::TenantSpec tenant;
+    const Status status = serve::TenantSpec::FromHello(hello, &tenant);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+
+#ifdef IAWJ_CLI_BIN
+    const std::string cmd = std::string(IAWJ_CLI_BIN) + " --kernels=" +
+                            retired + " --workload=micro 2>&1";
+    FILE* pipe = popen(cmd.c_str(), "r");
+    ASSERT_NE(pipe, nullptr);
+    std::string out;
+    char buf[256];
+    while (fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
+    EXPECT_NE(pclose(pipe), 0);
+    EXPECT_NE(out.find("unknown --kernels (auto|scalar)"), std::string::npos)
+        << out;
+#endif  // IAWJ_CLI_BIN
+  }
 }
 
 }  // namespace

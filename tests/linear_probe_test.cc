@@ -66,6 +66,38 @@ TEST(LinearProbeTable, ClusterCollisionsStayCorrect) {
   EXPECT_EQ(twos, 64);
 }
 
+// Counts slot visits: Insert and Probe report one Access per slot read.
+struct SlotCountingTracer {
+  static constexpr bool kEnabled = true;
+  uint64_t visits = 0;
+  void Access(const void*, uint64_t) { ++visits; }
+  void SetPhase(Phase) {}
+};
+
+// Inside a radix partition every key shares its low bits, so a home slot
+// taken from the hash's low bits (which depend only on the key's low bits)
+// would pile the whole partition into one cluster and make every probe
+// walk it. Taken from the high bits, probes stay a few slots long.
+TEST(LinearProbeTable, KeysSharingLowBitsDoNotCluster) {
+  constexpr uint32_t kKeys = 4096;
+  constexpr uint32_t kLowBits = 0x2a5;  // shared low 10 bits
+  LinearProbeTable<SlotCountingTracer> table(kKeys);
+  SlotCountingTracer tracer;
+  for (uint32_t i = 0; i < kKeys; ++i) {
+    table.Insert(Tuple{.ts = i, .key = (i << 10) | kLowBits}, tracer);
+  }
+  tracer.visits = 0;
+  uint64_t matches = 0;
+  for (uint32_t i = 0; i < kKeys; ++i) {
+    table.Probe(
+        (i << 10) | kLowBits, [&](Tuple) { ++matches; }, tracer);
+  }
+  EXPECT_EQ(matches, kKeys);
+  const double visits_per_probe =
+      static_cast<double>(tracer.visits) / static_cast<double>(kKeys);
+  EXPECT_LT(visits_per_probe, 8.0);
+}
+
 TEST(LinearProbeTable, TracksMemory) {
   mem::Reset();
   {

@@ -1,5 +1,5 @@
 // TSan-targeted stress suite for the lock-free CAS hash table
-// (hash/lockfree_table.h), the build substrate behind kernels=lockfree.
+// (hash/lockfree_table.h), NPJ's shared table under kernels=auto.
 //
 // The headline risk of a latch-free build is silent corruption: a lost CAS
 // retry drops a tuple, a misordered publish exposes an uninitialized node.
@@ -202,9 +202,9 @@ TEST(LockFreeTable, MemoryAccounting) {
   EXPECT_EQ(mem::CurrentBytes(), before);
 }
 
-// End-to-end: NPJ under kernels=lockfree is byte-exact vs the nested-loop
-// reference on both schedulers — the run-record kernels block names the
-// build variant that executed.
+// End-to-end: NPJ under the auto plan (the lock-free build) is byte-exact
+// vs the nested-loop reference on both schedulers — the run-record kernels
+// block names the build variant that executed.
 TEST(LockFreeNpj, ByteExactVsReference) {
   // Timestamps stay inside the single 1000ms window so the nested-loop
   // reference over the full streams is the exact expected answer.
@@ -230,7 +230,7 @@ TEST(LockFreeNpj, ByteExactVsReference) {
     spec.num_threads = 4;
     spec.window_ms = 1000;
     spec.clock_mode = Clock::Mode::kInstant;
-    spec.kernels = KernelMode::kLockfree;
+    spec.kernels = KernelMode::kAuto;
     spec.scheduler = sched;
     spec.morsel_size = 256;
     JoinRunner runner;
@@ -238,7 +238,7 @@ TEST(LockFreeNpj, ByteExactVsReference) {
     EXPECT_TRUE(result.status.ok()) << result.status.message();
     EXPECT_EQ(result.matches, expected.matches);
     EXPECT_EQ(result.checksum, expected.checksum);
-    EXPECT_EQ(result.kernels_resolved, KernelMode::kLockfree);
+    EXPECT_EQ(result.kernels_resolved, KernelMode::kAuto);
     EXPECT_EQ(result.kernel_build, "lockfree");
   }
 }

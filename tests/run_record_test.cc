@@ -15,6 +15,7 @@
 #include "src/common/fault.h"
 #include "src/common/json.h"
 #include "src/datagen/micro.h"
+#include "src/hash/simd_probe.h"
 #include "src/profiling/run_record.h"
 
 namespace iawj {
@@ -124,21 +125,22 @@ TEST(RunRecord, VersionIsNineWithoutOptionalBlocksForPlainRuns) {
   EXPECT_EQ(record.Find("ingest"), nullptr);
   EXPECT_EQ(record.Find("serve"), nullptr);
   // v8: the kernels block is always present — every run resolves a plan.
-  // The default spec resolves auto -> swwc; the build is scalar regardless
-  // (the batched build is retired).
+  // The default spec resolves to auto, and the block names what NPJ ran:
+  // the lock-free build of its shared table and the batched probe of its
+  // chains, with no scatter.
   const json::Value* kernels = record.Find("kernels");
   ASSERT_NE(kernels, nullptr);
   ASSERT_TRUE(kernels->is_object());
-  EXPECT_EQ(kernels->Find("mode")->string, "swwc");
-  EXPECT_EQ(kernels->Find("scatter")->string, "swwc");
-  EXPECT_EQ(kernels->Find("build")->string, "scalar");
+  EXPECT_EQ(kernels->Find("mode")->string, "auto");
+  EXPECT_EQ(kernels->Find("scatter")->string, "scalar");
+  EXPECT_EQ(kernels->Find("build")->string, "lockfree");
   EXPECT_EQ(kernels->Find("probe")->string, "batched");
 }
 
 TEST(RunRecord, KernelsBlockNamesTheResolvedVariantPerPhase) {
   JoinSpec spec;
   RunResult result = SmallRun(&spec);
-  result.kernels_resolved = KernelMode::kSimd;
+  result.kernels_resolved = KernelMode::kAuto;
   result.kernel_scatter = "swwc";
   result.kernel_build = "scalar";
   result.kernel_probe = "simd";
@@ -147,18 +149,66 @@ TEST(RunRecord, KernelsBlockNamesTheResolvedVariantPerPhase) {
   ASSERT_TRUE(json::Parse(RunRecordJson(result, spec, {}), &record).ok());
   const json::Value* kernels = record.Find("kernels");
   ASSERT_NE(kernels, nullptr);
-  EXPECT_EQ(kernels->Find("mode")->string, "simd");
+  EXPECT_EQ(kernels->Find("mode")->string, "auto");
   EXPECT_EQ(kernels->Find("scatter")->string, "swwc");
   EXPECT_EQ(kernels->Find("build")->string, "scalar");
   EXPECT_EQ(kernels->Find("probe")->string, "simd");
 
-  result.kernels_resolved = KernelMode::kLockfree;
-  result.kernel_probe = "batched";
-  result.kernel_build = "lockfree";
+  result.kernels_resolved = KernelMode::kScalar;
+  result.kernel_scatter = "scalar";
+  result.kernel_probe = "scalar";
   ASSERT_TRUE(json::Parse(RunRecordJson(result, spec, {}), &record).ok());
-  EXPECT_EQ(record.Find("kernels")->Find("mode")->string, "lockfree");
-  EXPECT_EQ(record.Find("kernels")->Find("build")->string, "lockfree");
-  EXPECT_EQ(record.Find("kernels")->Find("probe")->string, "batched");
+  EXPECT_EQ(record.Find("kernels")->Find("mode")->string, "scalar");
+  EXPECT_EQ(record.Find("kernels")->Find("scatter")->string, "scalar");
+  EXPECT_EQ(record.Find("kernels")->Find("probe")->string, "scalar");
+}
+
+// The block names what each algorithm ran, not the whole plan: PRJ builds
+// partition-private tables (never the lock-free shared one) and probes
+// bucket chains unless asked for linear probing, where the AVX2 probe
+// runs when the host has it.
+TEST(RunRecord, KernelsBlockNamesOnlyTheVariantsTheAlgorithmRan) {
+  MicroSpec mspec;
+  mspec.rate_r = 50;
+  mspec.rate_s = 50;
+  mspec.window_ms = 100;
+  const MicroWorkload workload = GenerateMicro(mspec);
+  JoinSpec spec;
+  spec.num_threads = 2;
+  spec.window_ms = 100;
+  spec.clock_mode = Clock::Mode::kInstant;
+  const auto kernels_of = [&](AlgorithmId id) {
+    JoinRunner runner;
+    const RunResult result = runner.Run(id, workload.r, workload.s, spec);
+    json::Value record;
+    EXPECT_TRUE(json::Parse(RunRecordJson(result, spec, {}), &record).ok());
+    return record.Find("kernels")->object;
+  };
+  const std::string linear_probe =
+      kernels::SimdProbeSupported() ? "simd" : "batched";
+
+  auto prj = kernels_of(AlgorithmId::kPrj);
+  EXPECT_EQ(prj["mode"].string, "auto");
+  EXPECT_EQ(prj["scatter"].string, "swwc");
+  EXPECT_EQ(prj["build"].string, "scalar");
+  EXPECT_EQ(prj["probe"].string, "batched");
+
+  auto mway = kernels_of(AlgorithmId::kMway);
+  EXPECT_EQ(mway["scatter"].string, "scalar");
+  EXPECT_EQ(mway["build"].string, "scalar");
+  EXPECT_EQ(mway["probe"].string, "scalar");
+
+  auto hhj = kernels_of(AlgorithmId::kHhj);
+  EXPECT_EQ(hhj["build"].string, "scalar");
+  EXPECT_EQ(hhj["probe"].string, linear_probe);
+
+  spec.hash_table_kind = HashTableKind::kLinearProbe;
+  prj = kernels_of(AlgorithmId::kPrj);
+  EXPECT_EQ(prj["build"].string, "scalar");
+  EXPECT_EQ(prj["probe"].string, linear_probe);
+  EXPECT_EQ(kernels_of(AlgorithmId::kShjJm)["probe"].string, linear_probe);
+  // NPJ's shared table is chained whatever the partition tables are.
+  EXPECT_EQ(kernels_of(AlgorithmId::kNpj)["probe"].string, "batched");
 }
 
 TEST(RunRecord, IngestBlockRoundTripsWhenTheRunIngestedDisorder) {

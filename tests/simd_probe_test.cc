@@ -181,9 +181,10 @@ TEST(SimdProbeProperty, RandomizedFuzz) {
   }
 }
 
-// Runtime dispatch: $IAWJ_SIMD_PROBE=0 must force the plan's scalar
-// fallback (probe variant "batched"), and a run in that state must produce
-// byte-identical output to the vector path.
+// Runtime dispatch: $IAWJ_SIMD_PROBE=0 must move the auto plan's
+// linear-probe tables to the batched fallback (probe variant "batched"),
+// and a run in that state must produce byte-identical output to the
+// vector path.
 TEST(SimdProbeDispatch, KillSwitchForcesFallbackWithIdenticalOutput) {
   Rng rng(606);
   std::vector<Tuple> r_tuples(1500), s_tuples(1700);
@@ -203,7 +204,7 @@ TEST(SimdProbeDispatch, KillSwitchForcesFallbackWithIdenticalOutput) {
   spec.num_threads = 2;
   spec.window_ms = 1000;
   spec.clock_mode = Clock::Mode::kInstant;
-  spec.kernels = KernelMode::kSimd;
+  spec.kernels = KernelMode::kAuto;
   spec.hash_table_kind = HashTableKind::kLinearProbe;
 
   const auto run_all = [&](const char* label) {

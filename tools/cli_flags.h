@@ -54,8 +54,7 @@ inline constexpr FlagInfo kFlags[] = {
      "eager: copy owned tuples into worker-local buffers (default off)"},
     {"simd", "", "use vectorized kernels (default on; --no-simd disables)"},
     {"kernels", "<mode>",
-     "hot-path kernels: auto|scalar|swwc|simd|lockfree (default auto -> "
-     "$IAWJ_KERNELS)"},
+     "hot-path kernels: auto|scalar (default auto -> $IAWJ_KERNELS)"},
     {"scheduler", "<mode>",
      "work scheduling: auto|static|morsel (default auto -> "
      "$IAWJ_SCHEDULER, then static)"},

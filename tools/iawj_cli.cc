@@ -249,11 +249,11 @@ int Run(int argc, char** argv) {
   spec.jb_group_size = static_cast<int>(flags.GetInt("jb-group", 2));
   spec.eager_physical_partition = flags.GetBool("physical-partition", false);
   spec.use_simd = flags.GetBool("simd", true);
-  // auto defers to $IAWJ_KERNELS; scalar/swwc force one kernel set for A/B
-  // runs (see common/kernels.h and README "Knobs").
+  // auto defers to $IAWJ_KERNELS; scalar forces the paper's loops for A/B
+  // runs (see common/kernels.h and docs/MANUAL.md).
   if (const std::string kernels = flags.GetString("kernels", "auto");
       !ParseKernelMode(kernels, &spec.kernels)) {
-    return Fail("unknown --kernels (auto|scalar|swwc)");
+    return Fail("unknown --kernels (" + KernelModeChoices() + ")");
   }
   // Same resolution shape for scheduling: auto defers to $IAWJ_SCHEDULER,
   // anything unresolved runs static (see join/scheduler.h).

@@ -292,8 +292,7 @@ std::string CheckRecord(const json::Value& root, const std::string& where) {
       return where + ": kernels." + field + " has unknown value '" +
              v->string + "'";
     };
-    if (std::string err =
-            one_of("mode", {"scalar", "swwc", "simd", "lockfree"});
+    if (std::string err = one_of("mode", {"scalar", "auto"});
         !err.empty()) {
       return err;
     }
