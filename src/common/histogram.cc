@@ -24,12 +24,11 @@ double LatencyHistogram::BucketMidUs(int index) {
   return base + (sub + 0.5) * step;
 }
 
-void LatencyHistogram::RecordMs(double latency_ms) {
+void LatencyHistogram::RecordMs(double latency_ms, uint64_t n) {
   const double us = std::max(latency_ms, 0.0) * 1000.0;
-  const auto bucket = BucketIndex(static_cast<uint64_t>(us));
-  ++buckets_[bucket];
-  ++count_;
-  sum_us_ += us;
+  buckets_[BucketIndex(static_cast<uint64_t>(us))] += n;
+  count_ += n;
+  sum_us_ += us * static_cast<double>(n);
 }
 
 void LatencyHistogram::Merge(const LatencyHistogram& other) {

@@ -2,7 +2,8 @@
 //
 // Matches are never materialized (Rovio at paper scale produces ~10^8 of
 // them); each worker records per-match latency into a log-bucketed histogram
-// whose memory footprint is constant. Quantiles interpolate within a bucket,
+// whose memory footprint is constant, adding a run of matches that share one
+// latency in a single weighted record. Quantiles interpolate within a bucket,
 // giving <3% relative error at any scale — ample for the paper's 95th-
 // percentile worst-case latency metric.
 #ifndef IAWJ_COMMON_HISTOGRAM_H_
@@ -23,8 +24,8 @@ class LatencyHistogram {
 
   LatencyHistogram() { buckets_.fill(0); }
 
-  // Records one latency observation (milliseconds; clamped at >= 0).
-  void RecordMs(double latency_ms);
+  // Records n observations of one latency (milliseconds; clamped at >= 0).
+  void RecordMs(double latency_ms, uint64_t n = 1);
 
   // Merges other into this (used to aggregate per-thread histograms).
   void Merge(const LatencyHistogram& other);

@@ -36,6 +36,13 @@ inline uint64_t Mix64(uint64_t x) {
   return x;
 }
 
+// One match's term in the order-insensitive match checksum. MatchSink and
+// the nested-loop oracle both sum it, so their checksums compare exactly.
+inline uint64_t MatchChecksum(uint32_t key, uint32_t r_ts, uint32_t s_ts) {
+  return Mix64((static_cast<uint64_t>(key) << 32) ^
+               Mix64((static_cast<uint64_t>(r_ts) << 32) | s_ts));
+}
+
 }  // namespace iawj
 
 #endif  // IAWJ_HASH_HASH_FN_H_

@@ -7,7 +7,9 @@
 #ifndef IAWJ_JOIN_CONTEXT_H_
 #define IAWJ_JOIN_CONTEXT_H_
 
+#include <algorithm>
 #include <barrier>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -121,25 +123,56 @@ struct JoinSpec {
 
 // Per-worker match collector. Never materializes matches: constant memory
 // regardless of result cardinality (§4.2.2's profiling methodology).
-class MatchSink {
+//
+// Stamp rule: matches are recorded in runs, and a run reads the clock once,
+// at its first accepted match. A run is one R tuple's matches against at
+// most kMaxRun equal-key S tuples and never spans a wait for input, so a
+// stamp is at most one run old. The merge joins record runs (OnRun); hash
+// probes record runs of one (OnMatch), so each of their matches is stamped.
+//
+// Latency is match time minus the arrival of the match's later input
+// (§4.1). With the instant clock every input "arrived" at time zero, so
+// latency degenerates to completion time — the at-rest semantics DEBS
+// uses — and a whole run lands in one latency and one progress bucket. With
+// the real-time clock each match records its own latency from the stamp.
+//
+// Cache-line aligned, so neighbouring workers' sinks never share a line.
+class alignas(64) MatchSink {
  public:
+  static constexpr size_t kMaxRun = 4096;
+
   void Bind(const Clock* clock) { clock_ = clock; }
 
-  void OnMatch(uint32_t key, uint32_t r_ts, uint32_t s_ts) {
-    ++count_;
-    checksum_ += Mix64((static_cast<uint64_t>(key) << 32) ^
-                       Mix64((static_cast<uint64_t>(r_ts) << 32) | s_ts));
-    const double now = clock_->NowMs();
-    // Latency = match time minus the arrival of its later input (§4.1).
-    // With the instant clock everything "arrived" at time zero, so latency
-    // degenerates to completion time — the at-rest semantics DEBS uses.
-    const double input_ts =
-        clock_->mode() == Clock::Mode::kInstant
-            ? 0.0
-            : static_cast<double>(r_ts > s_ts ? r_ts : s_ts);
-    progress_.Record(now);
-    latency_.RecordMs(now - input_ts);
+  // Records R tuple (key, r_ts) matched with each packed S tuple s[b] of
+  // the same key, b < n <= kMaxRun, for which accept(b) holds.
+  template <typename Accept>
+  void OnRun(uint32_t key, uint32_t r_ts, const uint64_t* s, size_t n,
+             Accept&& accept) {
+    const bool real_time = clock_->mode() == Clock::Mode::kRealTime;
+    uint64_t count = 0;
+    uint64_t checksum = 0;
+    double now = 0;
+    for (size_t b = 0; b < n; ++b) {
+      if (!accept(b)) continue;
+      const uint32_t s_ts = PackedTs(s[b]);
+      if (count++ == 0) now = clock_->NowMs();
+      checksum += MatchChecksum(key, r_ts, s_ts);
+      if (real_time) {
+        latency_.RecordMs(now - static_cast<double>(std::max(r_ts, s_ts)));
+      }
+    }
+    if (count == 0) return;
+    count_ += count;
+    checksum_ += checksum;
+    progress_.Record(now, count);
+    if (!real_time) latency_.RecordMs(now, count);
     if (now > last_match_ms_) last_match_ms_ = now;
+  }
+
+  // One match: a run of one.
+  void OnMatch(uint32_t key, uint32_t r_ts, uint32_t s_ts) {
+    const uint64_t s = PackTuple(Tuple{.ts = s_ts, .key = key});
+    OnRun(key, r_ts, &s, 1, [](size_t) { return true; });
   }
 
   uint64_t count() const { return count_; }
@@ -156,6 +189,9 @@ class MatchSink {
   ProgressRecorder progress_;
   LatencyHistogram latency_;
 };
+
+static_assert(alignof(MatchSink) >= 64,
+              "per-worker sinks must not share a cache line");
 
 // Everything a worker thread needs. Owned by the runner for one run.
 struct JoinContext {

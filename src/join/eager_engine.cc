@@ -60,6 +60,7 @@ std::unique_ptr<EagerState> EagerJoin<Tracer>::MakeState(
   config.use_simd = ctx.spec->use_simd;
   config.cache_kernels = ctx.kernels.batched_probe || ctx.kernels.simd_probe;
   config.simd_probe = ctx.kernels.simd_probe;
+  config.cancel = ctx.cancel;
   if (scheme_ == DistributionScheme::kJoinMatrix) {
     config.expected_r = ctx.r.size();  // R replicated to every worker
     config.expected_s = ctx.s.size() / threads + 1;

@@ -60,6 +60,10 @@ struct EagerStateConfig {
   // linear-probe tables on AVX2 hosts): ShjLinearState runs each per-tuple
   // probe as one vertical cluster scan (hash/simd_probe.h).
   bool simd_probe = false;
+  // The run's cancellation token (JoinContext::cancel; may be null). PMJ's
+  // merges check it once per match run, so a deadline stops them inside a
+  // hot key's block.
+  const CancelToken* cancel = nullptr;
 };
 
 enum class EagerKind { kShj, kPmj };

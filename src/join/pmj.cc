@@ -2,45 +2,9 @@
 
 #include <algorithm>
 
+#include "src/join/merge_join.h"
+
 namespace iawj {
-
-namespace {
-
-// Duplicate-aware merge join over two sorted packed arrays, emitting
-// (key, r_ts, s_ts) for every pair whose `accept` predicate passes.
-template <typename Tracer, typename Accept>
-void MergeJoinSorted(const uint64_t* r, size_t nr, const uint64_t* s,
-                     size_t ns, MatchSink& sink, Tracer& tracer,
-                     Accept&& accept) {
-  size_t i = 0, j = 0;
-  while (i < nr && j < ns) {
-    tracer.Access(&r[i], sizeof(uint64_t));
-    tracer.Access(&s[j], sizeof(uint64_t));
-    const uint32_t kr = PackedKey(r[i]);
-    const uint32_t ks = PackedKey(s[j]);
-    if (kr < ks) {
-      ++i;
-    } else if (kr > ks) {
-      ++j;
-    } else {
-      size_t i2 = i;
-      while (i2 < nr && PackedKey(r[i2]) == kr) ++i2;
-      size_t j2 = j;
-      while (j2 < ns && PackedKey(s[j2]) == ks) ++j2;
-      for (size_t a = i; a < i2; ++a) {
-        for (size_t b = j; b < j2; ++b) {
-          if (accept(a, b)) {
-            sink.OnMatch(kr, PackedTs(r[a]), PackedTs(s[b]));
-          }
-        }
-      }
-      i = i2;
-      j = j2;
-    }
-  }
-}
-
-}  // namespace
 
 template <typename Tracer>
 PmjState<Tracer>::PmjState(const EagerStateConfig& config, Tracer tracer)
@@ -49,6 +13,7 @@ PmjState<Tracer>::PmjState(const EagerStateConfig& config, Tracer tracer)
                   config.pmj_delta * static_cast<double>(config.expected_r +
                                                          config.expected_s)))),
       sort_options_{config.use_simd},
+      cancel_(config.cancel),
       tracer_(std::move(tracer)) {}
 
 template <typename Tracer>
@@ -85,8 +50,8 @@ void PmjState<Tracer>::SealRun(MatchSink& sink, PhaseStopwatch& sw) {
   // Intra-run matches are delivered immediately — PMJ's progressiveness.
   sw.Switch(Phase::kProbe);
   tracer_.SetPhase(Phase::kProbe);
-  MergeJoinSorted(cur_r_.data(), cur_r_.size(), cur_s_.data(), cur_s_.size(),
-                  sink, tracer_, [](size_t, size_t) { return true; });
+  MergeJoin(cur_r_.data(), cur_r_.size(), cur_s_.data(), cur_s_.size(), sink,
+            tracer_, cancel_, [](size_t, size_t) { return true; });
 
   runs_r_.push_back(std::move(cur_r_));
   runs_s_.push_back(std::move(cur_s_));
@@ -120,8 +85,8 @@ void PmjState<Tracer>::Finish(MatchSink& sink, PhaseStopwatch& sw) {
   // Cross-run matches only; intra-run pairs were emitted at seal time.
   sw.Switch(Phase::kProbe);
   tracer_.SetPhase(Phase::kProbe);
-  MergeJoinSorted(rv.data(), total_r, sv.data(), total_s, sink, tracer_,
-                  [&](size_t a, size_t b) { return rt[a] != st[b]; });
+  MergeJoin(rv.data(), total_r, sv.data(), total_s, sink, tracer_, cancel_,
+            [&](size_t a, size_t b) { return rt[a] != st[b]; });
 }
 
 template class PmjState<NullTracer>;

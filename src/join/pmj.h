@@ -36,6 +36,7 @@ class PmjState : public EagerState {
 
   uint64_t run_threshold_;
   sort::Options sort_options_;
+  const CancelToken* cancel_;
   Tracer tracer_;
 
   mem::TrackedBuffer<uint64_t> cur_r_;

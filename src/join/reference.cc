@@ -21,9 +21,7 @@ ReferenceResult NestedLoopJoin(std::span<const Tuple> r,
     if (it == index.end()) continue;
     for (uint32_t r_ts : it->second) {
       ++result.matches;
-      result.checksum +=
-          Mix64((static_cast<uint64_t>(t.key) << 32) ^
-                Mix64((static_cast<uint64_t>(r_ts) << 32) | t.ts));
+      result.checksum += MatchChecksum(t.key, r_ts, t.ts);
     }
   }
   return result;

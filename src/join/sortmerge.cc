@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/logging.h"
+#include "src/join/merge_join.h"
 #include "src/partition/range.h"
 #include "src/sort/avxsort.h"
 #include "src/sort/merge.h"
@@ -10,45 +11,6 @@
 namespace iawj {
 
 namespace {
-
-// Duplicate-aware merge join of key-aligned sorted ranges. Checks the run's
-// cancellation token every 8K steps; runs only after the final barrier
-// phase, so it can simply stop early when cancelled.
-template <typename Tracer>
-void MergeJoinRange(const JoinContext& ctx, const uint64_t* r, size_t r_begin,
-                    size_t r_end, const uint64_t* s, size_t s_begin,
-                    size_t s_end, MatchSink& sink, Tracer& tracer) {
-  constexpr size_t kCancelMask = 8191;
-  size_t steps = 0;
-  size_t i = r_begin, j = s_begin;
-  while (i < r_end && j < s_end) {
-    if ((++steps & kCancelMask) == 0 && ctx.Cancelled()) return;
-    tracer.Access(&r[i], sizeof(uint64_t));
-    tracer.Access(&s[j], sizeof(uint64_t));
-    const uint32_t kr = PackedKey(r[i]);
-    const uint32_t ks = PackedKey(s[j]);
-    if (kr < ks) {
-      ++i;
-    } else if (kr > ks) {
-      ++j;
-    } else {
-      size_t i2 = i;
-      while (i2 < r_end && PackedKey(r[i2]) == kr) ++i2;
-      size_t j2 = j;
-      while (j2 < s_end && PackedKey(s[j2]) == ks) ++j2;
-      for (size_t a = i; a < i2; ++a) {
-        const uint32_t r_ts = PackedTs(r[a]);
-        tracer.Access(&r[a], sizeof(uint64_t));
-        for (size_t b = j; b < j2; ++b) {
-          tracer.Access(&s[b], sizeof(uint64_t));
-          sink.OnMatch(kr, r_ts, PackedTs(s[b]));
-        }
-      }
-      i = i2;
-      j = j2;
-    }
-  }
-}
 
 // Packs a tuple chunk into the run buffer and sorts it.
 void SortChunk(std::span<const Tuple> input, const ChunkRange& chunk,
@@ -397,20 +359,24 @@ void SortMergeJoin<Tracer>::RunWorker(const JoinContext& ctx, int worker) {
   {
     ScopedPhase probe(&prof, Phase::kProbe);
     tracer.SetPhase(Phase::kProbe);
+    // Merge-joins key-aligned range t of the globally sorted arrays. Runs
+    // only after the final barrier phase, so it simply stops when
+    // cancelled.
+    const auto probe_range = [&](size_t t) {
+      const size_t r_begin = probe_split_r_[t];
+      const size_t s_begin = probe_split_s_[t];
+      MergeJoin(final_r_ + r_begin, probe_split_r_[t + 1] - r_begin,
+                final_s_ + s_begin, probe_split_s_[t + 1] - s_begin, sink,
+                tracer, ctx.cancel, [](size_t, size_t) { return true; });
+    };
     if (morsel_) {
       ChunkRange task;
       while (probe_phase_.Next(*ctx.scheduler, worker, &task)) {
         if (ctx.Cancelled()) break;
-        const size_t t = task.begin;
-        MergeJoinRange(ctx, final_r_, probe_split_r_[t],
-                       probe_split_r_[t + 1], final_s_, probe_split_s_[t],
-                       probe_split_s_[t + 1], sink, tracer);
+        probe_range(task.begin);
       }
     } else {
-      MergeJoinRange(ctx, final_r_, probe_split_r_[worker],
-                     probe_split_r_[worker + 1], final_s_,
-                     probe_split_s_[worker], probe_split_s_[worker + 1], sink,
-                     tracer);
+      probe_range(static_cast<size_t>(worker));
     }
   }
 }

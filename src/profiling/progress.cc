@@ -24,9 +24,9 @@ double ProgressRecorder::BucketUpperMs(int index) {
   return base + (sub + 1) * step;
 }
 
-void ProgressRecorder::Record(double elapsed_ms) {
-  ++buckets_[BucketIndex(elapsed_ms)];
-  ++total_;
+void ProgressRecorder::Record(double elapsed_ms, uint64_t n) {
+  buckets_[BucketIndex(elapsed_ms)] += n;
+  total_ += n;
 }
 
 void ProgressRecorder::Merge(const ProgressRecorder& other) {

@@ -1,9 +1,9 @@
 // Progressiveness recording (paper §4.1, Figure 6).
 //
 // Progressiveness is the cumulative fraction of matches delivered as a
-// function of elapsed stream time. Workers bump a log-scale time bucket per
-// match; the curve is reconstructed afterwards, bounded-memory regardless of
-// match count.
+// function of elapsed stream time. Workers bump a log-scale time bucket by
+// the matches recorded at one stamp (MatchSink's run); the curve is
+// reconstructed afterwards, bounded-memory regardless of match count.
 #ifndef IAWJ_PROFILING_PROGRESS_H_
 #define IAWJ_PROFILING_PROGRESS_H_
 
@@ -23,7 +23,8 @@ class ProgressRecorder {
 
   ProgressRecorder() { buckets_.fill(0); }
 
-  void Record(double elapsed_ms);
+  // Records n matches delivered at elapsed_ms.
+  void Record(double elapsed_ms, uint64_t n = 1);
   void Merge(const ProgressRecorder& other);
 
   uint64_t total() const { return total_; }

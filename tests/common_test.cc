@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/bits.h"
@@ -154,6 +155,29 @@ TEST(LatencyHistogram, EmptyAndNegative) {
   h.RecordMs(-5.0);  // clamped to zero
   EXPECT_EQ(h.count(), 1u);
   EXPECT_LT(h.QuantileMs(1.0), 0.01);
+}
+
+TEST(LatencyHistogram, WeightedRecordEqualsRepeatedRecords) {
+  // Latencies exact in binary, so the weighted sum is exact too.
+  const std::pair<double, uint64_t> observations[] = {
+      {0.25, 1}, {2.5, 7}, {40.0, 1000}, {0.0, 3}, {1500.0, 2}};
+  LatencyHistogram weighted, repeated;
+  for (const auto& [ms, n] : observations) {
+    weighted.RecordMs(ms, n);
+    for (uint64_t k = 0; k < n; ++k) repeated.RecordMs(ms);
+  }
+  EXPECT_EQ(weighted.count(), repeated.count());
+  EXPECT_EQ(weighted.count(), 1013u);
+  EXPECT_DOUBLE_EQ(weighted.MeanMs(), repeated.MeanMs());
+  // Quantiles at every rank step see every bucket boundary.
+  for (uint64_t rank = 0; rank <= repeated.count(); ++rank) {
+    const double q = static_cast<double>(rank) / 1013.0;
+    EXPECT_EQ(weighted.QuantileMs(q), repeated.QuantileMs(q)) << q;
+  }
+  LatencyHistogram none;
+  none.RecordMs(3.0, 0);
+  EXPECT_EQ(none.count(), 0u);
+  EXPECT_EQ(none.MeanMs(), 0);
 }
 
 TEST(Status, CodesAndMessages) {

@@ -291,6 +291,28 @@ TEST_F(FaultTest, EagerStallIsCancelledByDeadline) {
   }
 }
 
+TEST_F(FaultTest, DeadlineStopsSortJoinsInsideOneHotKey) {
+  // One key on both sides: the window is a single equal-key block of
+  // |R|·|S| = 4·10^8 matches. The merge joins check the deadline once per
+  // match run, so they stop inside the block instead of emitting all of it.
+  MicroSpec micro;
+  micro.size_r = 20000;
+  micro.size_s = 20000;
+  micro.dupe = 20000;
+  const MicroWorkload w = GenerateMicro(micro);
+  JoinSpec spec;
+  spec.num_threads = 2;
+  spec.deadline_ms = 100;
+  JoinRunner runner;
+  for (AlgorithmId id :
+       {AlgorithmId::kMway, AlgorithmId::kMpass, AlgorithmId::kPmjJm}) {
+    SCOPED_TRACE(AlgorithmName(id));
+    const RunResult result = runner.Run(id, w.r, w.s, spec);
+    EXPECT_EQ(result.status.code(), StatusCode::kDeadlineExceeded);
+    EXPECT_LT(result.matches, uint64_t{20000} * 20000);
+  }
+}
+
 TEST_F(FaultTest, GenerousDeadlineLeavesHealthyRunUntouched) {
   const MicroWorkload w = SmallWorkload();
   JoinSpec spec = SmallSpec();

@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/memory/tracker.h"
@@ -86,6 +87,23 @@ TEST(ProgressRecorder, MergeSumsTotals) {
   b.Record(20);
   a.Merge(b);
   EXPECT_EQ(a.total(), 2u);
+}
+
+TEST(ProgressRecorder, WeightedRecordEqualsRepeatedRecords) {
+  const std::pair<double, uint64_t> deliveries[] = {
+      {0.5, 4}, {3, 1}, {12, 250}, {700, 9}, {70000, 2}};
+  ProgressRecorder weighted, repeated;
+  for (const auto& [ms, n] : deliveries) {
+    weighted.Record(ms, n);
+    for (uint64_t k = 0; k < n; ++k) repeated.Record(ms);
+  }
+  EXPECT_EQ(weighted.total(), repeated.total());
+  EXPECT_EQ(weighted.total(), 266u);
+  EXPECT_EQ(weighted.Curve(), repeated.Curve());
+  for (double f : {0.01, 0.1, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(weighted.TimeToFractionMs(f), repeated.TimeToFractionMs(f))
+        << f;
+  }
 }
 
 TEST(CacheSim, SmallWorkingSetHitsL1) {

@@ -3,6 +3,8 @@
 // spec validation.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/datagen/micro.h"
 #include "src/join/reference.h"
 #include "src/join/runner.h"
@@ -192,6 +194,82 @@ TEST(Runner, WorkPerInputExcludesWait) {
   r.phases.AddNs(Phase::kWait, 10000);
   r.phases.AddNs(Phase::kProbe, 500);
   EXPECT_DOUBLE_EQ(r.WorkNsPerInput(), 5.0);
+}
+
+// Packed S tuples of one key with distinct timestamps, as a merge join
+// hands them to MatchSink::OnRun.
+std::vector<uint64_t> EqualKeyBlock(uint32_t key, size_t n) {
+  std::vector<uint64_t> s;
+  for (size_t b = 0; b < n; ++b) {
+    s.push_back(PackTuple({.ts = static_cast<uint32_t>(3 * b), .key = key}));
+  }
+  return s;
+}
+
+// A run of n matches records what n OnMatch calls record: the same count
+// and checksum, and n latency and progress observations.
+void ExpectRunMatchesSingles(Clock::Mode mode) {
+  Clock clock(mode);
+  clock.Start();
+  MatchSink run_sink, single_sink;
+  run_sink.Bind(&clock);
+  single_sink.Bind(&clock);
+  const std::vector<uint64_t> s = EqualKeyBlock(42, MatchSink::kMaxRun);
+  run_sink.OnRun(42, 17, s.data(), s.size(), [](size_t) { return true; });
+  for (uint64_t packed : s) single_sink.OnMatch(42, 17, PackedTs(packed));
+
+  EXPECT_EQ(run_sink.count(), s.size());
+  EXPECT_EQ(run_sink.count(), single_sink.count());
+  EXPECT_EQ(run_sink.checksum(), single_sink.checksum());
+  for (const MatchSink* sink : {&run_sink, &single_sink}) {
+    EXPECT_EQ(sink->latency().count(), s.size());
+    EXPECT_EQ(sink->progress().total(), s.size());
+  }
+}
+
+TEST(MatchSink, RunMatchesSinglesUnderInstantClock) {
+  ExpectRunMatchesSingles(Clock::Mode::kInstant);
+}
+
+TEST(MatchSink, RunMatchesSinglesUnderRealTimeClock) {
+  ExpectRunMatchesSingles(Clock::Mode::kRealTime);
+}
+
+TEST(MatchSink, InstantRunSharesOneStamp) {
+  Clock clock(Clock::Mode::kInstant);
+  clock.Start();
+  MatchSink sink;
+  sink.Bind(&clock);
+  const std::vector<uint64_t> s = EqualKeyBlock(7, 1000);
+  sink.OnRun(7, 0, s.data(), s.size(), [](size_t) { return true; });
+  // The lowest rank and the highest fall in the same latency bucket.
+  EXPECT_EQ(sink.latency().QuantileMs(1.0 / 1000),
+            sink.latency().QuantileMs(1));
+  EXPECT_EQ(sink.progress().Curve().size(), 1u);
+}
+
+TEST(MatchSink, AcceptFiltersRunMatches) {
+  Clock clock(Clock::Mode::kInstant);
+  clock.Start();
+  MatchSink none, even, singles;
+  for (MatchSink* sink : {&none, &even, &singles}) sink->Bind(&clock);
+  const std::vector<uint64_t> s = EqualKeyBlock(9, 100);
+
+  none.OnRun(9, 5, s.data(), s.size(), [](size_t) { return false; });
+  EXPECT_EQ(none.count(), 0u);
+  EXPECT_EQ(none.checksum(), 0u);
+  EXPECT_EQ(none.latency().count(), 0u);
+  EXPECT_EQ(none.progress().total(), 0u);
+  EXPECT_EQ(none.last_match_ms(), 0);
+
+  even.OnRun(9, 5, s.data(), s.size(), [](size_t b) { return b % 2 == 0; });
+  for (size_t b = 0; b < s.size(); b += 2) {
+    singles.OnMatch(9, 5, PackedTs(s[b]));
+  }
+  EXPECT_EQ(even.count(), 50u);
+  EXPECT_EQ(even.checksum(), singles.checksum());
+  EXPECT_EQ(even.latency().count(), 50u);
+  EXPECT_EQ(even.progress().total(), 50u);
 }
 
 }  // namespace
