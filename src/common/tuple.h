@@ -16,10 +16,17 @@ namespace iawj {
 
 struct Tuple {
   uint32_t ts;   // Arrival timestamp (stream-time msec); the "payload".
-  uint32_t key;  // Join key. Generators keep keys < 2^31.
+  uint32_t key;  // Join key, below kKeyDomainLimit.
 
   friend bool operator==(const Tuple&, const Tuple&) = default;
 };
+
+// The engine's key domain: generators keep keys below 2^31, the sort joins
+// order the packed key<<32|ts as a signed value, and linear-probe tables
+// reserve 0xffffffff as their empty marker. Untrusted inputs (wire batches,
+// workload files) are refused past it, and ingestion quarantines such
+// tuples as corrupt.
+inline constexpr uint32_t kKeyDomainLimit = 1u << 31;
 
 static_assert(sizeof(Tuple) == 8, "Tuple must be exactly 64 bits");
 static_assert(std::is_trivially_copyable_v<Tuple>);

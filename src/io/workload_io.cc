@@ -10,7 +10,24 @@
 namespace iawj::io {
 
 namespace {
+
 constexpr char kMagic[8] = {'I', 'A', 'W', 'J', 'S', 'T', 'R', '1'};
+
+// Leading blanks, then unsigned decimal digits only: strtoul would also
+// accept a sign ("-1" wraps to 2^64 - 1) and saturate on overflow.
+bool ParseDecimal(const std::string& field, uint64_t* out) {
+  const size_t begin = field.find_first_not_of(" \t");
+  if (begin == std::string::npos || field.size() - begin > 19) return false;
+  uint64_t value = 0;
+  for (size_t i = begin; i < field.size(); ++i) {
+    const char c = field[i];
+    if (c < '0' || c > '9') return false;
+    value = value * 10 + static_cast<uint64_t>(c - '0');
+  }
+  *out = value;
+  return true;
+}
+
 }  // namespace
 
 Status SaveStream(const Stream& stream, const std::string& path) {
@@ -68,6 +85,13 @@ Status LoadStream(const std::string& path, Stream* stream) {
   if (fault::Enabled() && fault::Inject("io_truncate")) {
     return Status::DataLoss(path + ": injected truncation mid-read");
   }
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    if (tuples[i].key >= kKeyDomainLimit) {
+      return Status::InvalidArgument(
+          path + ": tuple " + std::to_string(i) + " has key " +
+          std::to_string(tuples[i].key) + ", outside the key domain [0, 2^31)");
+    }
+  }
   // Re-sorting makes the loader robust to externally produced files.
   *stream = MakeStream(std::move(tuples));
   return Status::Ok();
@@ -108,22 +132,20 @@ Status LoadStreamCsv(const std::string& path, Stream* stream) {
                                      std::to_string(line_number) +
                                      ": expected 'ts,key'");
     }
-    const std::string ts_field = line.substr(0, comma);
-    const std::string key_field = line.substr(comma + 1);
-    char* ts_end = nullptr;
-    char* key_end = nullptr;
-    const unsigned long ts = std::strtoul(ts_field.c_str(), &ts_end, 10);
-    const unsigned long key = std::strtoul(key_field.c_str(), &key_end, 10);
-    if (ts_end == ts_field.c_str() || *ts_end != '\0' ||
-        key_end == key_field.c_str() || *key_end != '\0') {
+    uint64_t ts = 0, key = 0;
+    if (!ParseDecimal(line.substr(0, comma), &ts) ||
+        !ParseDecimal(line.substr(comma + 1), &key)) {
       return Status::InvalidArgument(path + ":" +
                                      std::to_string(line_number) +
                                      ": non-numeric field in 'ts,key'");
     }
-    Tuple t;
-    t.ts = static_cast<uint32_t>(ts);
-    t.key = static_cast<uint32_t>(key);
-    tuples.push_back(t);
+    if (ts > UINT32_MAX || key >= kKeyDomainLimit) {
+      return Status::InvalidArgument(
+          path + ":" + std::to_string(line_number) +
+          ": ts must fit 32 bits and key the key domain [0, 2^31)");
+    }
+    tuples.push_back(Tuple{static_cast<uint32_t>(ts),
+                           static_cast<uint32_t>(key)});
   }
   *stream = MakeStream(std::move(tuples));
   return Status::Ok();

@@ -58,7 +58,7 @@ struct RecoveryLog {
   // input tuples plus tuples the ingest layer quarantined (dropped-late,
   // duplicate, corrupt — stream/disorder.h); est_matches_lost extrapolates
   // the matches they would have produced (see window_pipeline.cc and
-  // supervisor.cc for the estimators).
+  // window_operator.h's QuarantineLoss for the estimators).
   uint64_t windows_skipped = 0;
   uint64_t tuples_dropped = 0;
   double est_matches_lost = 0;

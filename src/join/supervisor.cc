@@ -4,12 +4,14 @@
 #include <chrono>
 #include <cstdlib>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
 
 #include "src/common/logging.h"
 #include "src/common/rng.h"
+#include "src/join/window_operator.h"
 #include "src/profiling/metrics.h"
 #include "src/stream/disorder.h"
 
@@ -297,88 +299,50 @@ RunResult Supervisor::Run(AlgorithmId id, const Stream& r, const Stream& s,
     return runner.Run(id, r, s, spec);
   }
 
-  // Ingestion first: restore ts order through the reorder buffer +
-  // watermark + quarantine (stream/disorder.h) so every later stage — the
-  // shedder's backlog model, windowing, the algorithms' sorted-stream
-  // assumption — sees an honest ordered stream.
-  const Stream* run_r = &r;
-  const Stream* run_s = &s;
-  Stream ingested_r, ingested_s;
-  IngestStats ingest_stats;
-  if (ingest_policy.Enabled()) {
-    IngestResult in_r = IngestStream(r, ingest_policy);
-    IngestResult in_s = IngestStream(s, ingest_policy);
-    ingest_stats = in_r.stats;
-    ingest_stats.Merge(in_s.stats);
-    ingested_r = std::move(in_r.stream);
-    ingested_s = std::move(in_s.stream);
-    run_r = &ingested_r;
-    run_s = &ingested_s;
-    PublishIngestMetrics(ingest_stats);
+  // The window operator's ingest → shed stage, one per input: ingestion
+  // restores ts order through the reorder buffer + watermark + quarantine
+  // (stream/disorder.h) so the shedder's backlog model and the algorithms'
+  // sorted-stream assumption see an honest ordered stream, and shedding
+  // thins it once, so every attempt sees the same input (deterministic:
+  // same watermark + seed => same surviving tuples).
+  InputStage stage_r(ingest_policy, policy, policy.seed);
+  InputStage stage_s(ingest_policy, policy, policy.seed + 1);
+  Stream staged_r, staged_s;
+  if (!stage_r.passthrough()) {
+    const std::span<const Tuple> out_r = stage_r.Push(r.tuples, /*end=*/true);
+    staged_r.tuples.assign(out_r.begin(), out_r.end());
+    const std::span<const Tuple> out_s = stage_s.Push(s.tuples, /*end=*/true);
+    staged_s.tuples.assign(out_s.begin(), out_s.end());
   }
-
-  // Overload shedding next, so every attempt sees the same thinned input
-  // (deterministic: same watermark + seed => same surviving tuples).
-  ShedResult shed_r, shed_s;
-  RecoveryLog shed_log;
-  if (policy.shed_watermark_per_ms > 0) {
-    shed_r = ShedToWatermark(*run_r, policy.shed_watermark_per_ms,
-                             policy.shed_max_lag_ms, policy.seed);
-    shed_s = ShedToWatermark(*run_s, policy.shed_watermark_per_ms,
-                             policy.shed_max_lag_ms, policy.seed + 1);
-    run_r = &shed_r.stream;
-    run_s = &shed_s.stream;
-    shed_log.tuples_shed = shed_r.tuples_shed + shed_s.tuples_shed;
-    const uint64_t in = shed_r.tuples_in + shed_s.tuples_in;
-    shed_log.shed_ratio =
-        in > 0 ? static_cast<double>(shed_log.tuples_shed) /
-                     static_cast<double>(in)
-               : 0;
-    if (shed_log.tuples_shed > 0) {
-      shed_log.events.push_back(
-          {RecoveryAction::kShedLoad, StatusCode::kOk, 0,
-           "shed " + std::to_string(shed_log.tuples_shed) + " of " +
-               std::to_string(in) + " tuples at watermark " +
-               std::to_string(policy.shed_watermark_per_ms) + "/ms",
-           0});
-    }
-  }
+  const Stream& run_r = stage_r.passthrough() ? r : staged_r;
+  const Stream& run_s = stage_s.passthrough() ? s : staged_s;
 
   RunResult result =
       policy.Enabled()
           ? SuperviseAttempts(
                 id, spec, policy,
                 [&](AlgorithmId attempt_id, const JoinSpec& attempt_spec) {
-                  return runner.Run(attempt_id, *run_r, *run_s, attempt_spec);
+                  return runner.Run(attempt_id, run_r, run_s, attempt_spec);
                 })
-          : runner.Run(id, *run_r, *run_s, spec);
+          : runner.Run(id, run_r, run_s, spec);
+  const RecoveryLog shed_log =
+      ShedLoss(stage_r.tuples_shed() + stage_s.tuples_shed(),
+               stage_r.shed_in() + stage_s.shed_in(),
+               policy.shed_watermark_per_ms);
   if (shed_log.tuples_shed > 0) {
     PublishRecoveryMetrics(shed_log);
     result.recovery.Merge(shed_log);
   }
-  if (ingest_stats.any()) {
+  if (ingest_policy.Enabled()) {
+    IngestStats ingest_stats = stage_r.ingest_stats();
+    ingest_stats.Merge(stage_s.ingest_stats());
     result.ingest = ingest_stats;
-    const uint64_t quarantined = ingest_stats.quarantined();
-    if (quarantined > 0) {
-      // Quarantined tuples are bounded loss: count them and extrapolate
-      // the matches they would have produced from this run's match rate.
-      RecoveryLog quarantine_log;
-      const double rate = result.inputs > 0
-                              ? static_cast<double>(result.matches) /
-                                    static_cast<double>(result.inputs)
-                              : 0;
-      quarantine_log.tuples_dropped = quarantined;
-      quarantine_log.est_matches_lost =
-          rate * static_cast<double>(quarantined);
-      quarantine_log.events.push_back(
-          {RecoveryAction::kQuarantine, StatusCode::kOk, 0,
-           "ingest quarantined " + std::to_string(quarantined) + " tuples (" +
-               std::to_string(ingest_stats.late_dropped) + " late, " +
-               std::to_string(ingest_stats.duplicates) + " duplicate, " +
-               std::to_string(ingest_stats.corrupt) + " corrupt)",
-           0});
-      result.recovery.Merge(quarantine_log);
-    }
+    // Quarantine is priced at this run's own match rate.
+    const double rate = result.inputs > 0
+                            ? static_cast<double>(result.matches) /
+                                  static_cast<double>(result.inputs)
+                            : 0;
+    result.recovery.Merge(QuarantineLoss(ingest_stats, rate));
   }
   return result;
 }

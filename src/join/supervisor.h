@@ -19,18 +19,14 @@
 //      then the thread count. Every algorithm produces the identical match
 //      multiset, so the answer stays exact. Each step restarts the retry
 //      budget and is recorded in the result's RecoveryLog.
-//   3. Shedding — before any attempt, when a shed watermark is configured,
-//      both input streams are thinned by stream.h's deterministic load
-//      shedder and the loss is accounted in the log.
-//
-// When the spec additionally resolves an ingest policy (disorder_slack_ms /
-// allowed_lateness_ms / ingest_dedup, stream/disorder.h), both inputs are
-// fed through the disorder-tolerant ingestion layer before shedding; the
-// stats land on RunResult::ingest and quarantined tuples join the
-// bounded-loss accounting (tuples_dropped / est_matches_lost).
+//   3. Shedding — before any attempt, both inputs run through the window
+//      operator's InputStage (join/window_operator.h): disorder-tolerant
+//      ingestion under an ingest policy (stats on RunResult::ingest,
+//      quarantined tuples as bounded loss), then the deterministic load
+//      shedder under a shed watermark, its loss accounted in the log.
 //
 // Window-level supervision (retry-then-skip with bounded-loss accounting)
-// lives in window_pipeline.cc and reuses SuperviseAttempts below.
+// reuses SuperviseAttempts through RunWindowOnce (join/window_operator.h).
 //
 // Zero-overhead contract: nothing here runs unless a policy is configured —
 // JoinRunner itself is untouched, and an unconfigured Supervisor::Run is a

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <string>
 #include <utility>
-#include <vector>
 
-#include "src/common/fault.h"
-#include "src/common/logging.h"
 #include "src/join/supervisor.h"
+#include "src/join/window_operator.h"
 #include "src/profiling/metrics.h"
 #include "src/profiling/trace.h"
 
@@ -15,91 +13,17 @@ namespace iawj {
 
 namespace {
 
-// Extracts tuples with ts in [start, start + length) and rebases their
-// timestamps to the window-local origin.
-Stream SliceWindow(const Stream& stream, uint64_t start, uint32_t length) {
-  const auto lo = std::lower_bound(
-      stream.tuples.begin(), stream.tuples.end(), start,
-      [](const Tuple& t, uint64_t v) { return t.ts < v; });
-  const auto hi = std::lower_bound(
-      lo, stream.tuples.end(), start + length,
-      [](const Tuple& t, uint64_t v) { return t.ts < v; });
-  Stream window;
-  window.tuples.reserve(static_cast<size_t>(hi - lo));
-  for (auto it = lo; it != hi; ++it) {
-    window.tuples.push_back(
-        Tuple{static_cast<uint32_t>(it->ts - start), it->key});
-  }
-  return window;
-}
-
-// Runs one window attempt: the injected "window_fail" site sits inside the
-// attempt so a supervised retry re-rolls it (the counter advances per
-// attempt — a transient fault clears, a :0-count fault keeps firing).
-RunResult RunWindowOnce(JoinRunner& runner, AlgorithmId id, const Stream& wr,
-                        const Stream& ws, const JoinSpec& window_spec,
-                        uint32_t window_index) {
-  if (fault::Enabled() && fault::Inject("window_fail")) {
-    // Fault: this window fails wholesale without executing, the shape of
-    // an operator crash between segmentation and the join.
-    RunResult result;
-    result.algorithm = std::string(AlgorithmName(id));
-    result.inputs = wr.size() + ws.size();
-    result.status = Status::Internal("injected window failure (window " +
-                                     std::to_string(window_index) + ")");
-    return result;
-  }
-  return runner.Run(id, wr, ws, window_spec);
-}
-
-// The pipeline's inputs after disorder-tolerant ingestion. With no ingest
-// policy configured `r`/`s` alias the caller's streams (no copy, no stats);
-// with one configured they point at the restored, ordered streams owned
-// here. Ingestion must run BEFORE segmentation: Stream::MaxTs() and
-// SliceWindow both assume the sorted contract, so segmenting an
-// arrival-order sequence would mis-place tuples silently.
-struct IngestedInputs {
-  const Stream* r = nullptr;
-  const Stream* s = nullptr;
-  Stream owned_r, owned_s;
-  IngestStats stats;
-  bool active = false;
-};
-
-IngestedInputs ApplyIngest(const Stream& r, const Stream& s,
-                           const JoinSpec& spec) {
-  IngestedInputs in;
-  const IngestPolicy policy = IngestPolicy::Resolve(
-      spec.disorder_slack_ms, spec.allowed_lateness_ms, spec.ingest_dedup);
-  if (!policy.Enabled()) {
-    in.r = &r;
-    in.s = &s;
-    return in;
-  }
-  IngestResult ingested_r = IngestStream(r, policy);
-  IngestResult ingested_s = IngestStream(s, policy);
-  in.stats = ingested_r.stats;
-  in.stats.Merge(ingested_s.stats);
-  in.owned_r = std::move(ingested_r.stream);
-  in.owned_s = std::move(ingested_s.stream);
-  in.r = &in.owned_r;
-  in.s = &in.owned_s;
-  in.active = true;
-  PublishIngestMetrics(in.stats);
-  return in;
-}
-
-// Shared driver: runs one IaWJ per (start, length) segment. Degrades
-// gracefully on failure: each failed window is retried and fallen back per
-// the supervision policy (join/supervisor.h), then — under a skip policy —
-// skipped with bounded-loss accounting so one poisoned window cannot sink
-// the pipeline. Without supervision, the first non-OK window is recorded
-// with its partial metrics, its status copied to the pipeline, and no
-// further windows run.
-PipelineResult RunSegments(
-    const IngestedInputs& in, const JoinSpec& spec,
-    const std::vector<std::pair<uint64_t, uint32_t>>& segments,
-    const AlgorithmPolicy& policy) {
+// Shared driver: pushes both whole streams through one WindowOperator
+// (ingest → shed → segment) and flushes it, running one IaWJ per sealed
+// window. Degrades gracefully on failure: each failed window is retried
+// and fallen back per the supervision policy (join/supervisor.h), then —
+// under a skip policy — skipped with bounded-loss accounting so one
+// poisoned window cannot sink the pipeline. Without supervision, the first
+// non-OK window is recorded with its partial metrics, its status copied to
+// the pipeline, and no further windows run.
+PipelineResult RunWindows(const Stream& r, const Stream& s,
+                          const JoinSpec& spec, const WindowShape& shape,
+                          const AlgorithmPolicy& policy) {
   PipelineResult pipeline;
   // Window lifecycle lands on the pipeline thread's trace row; the runner
   // nests each per-window run span inside (its ScopedThreadTrace is a no-op
@@ -111,66 +35,29 @@ PipelineResult RunSegments(
   // whole supervision layer reduces to this one resolve and the unsupervised
   // single-attempt path below.
   const SupervisorPolicy supervision = SupervisorPolicy::Resolve(spec);
-
-  // Overload shedding applies to the whole (already ingested) timeline
-  // before windowing, so every window sees the post-shed sequence —
-  // shedding after reorder keeps its lag-bounded backlog model honest.
-  const Stream* in_r = in.r;
-  const Stream* in_s = in.s;
-  ShedResult shed_r, shed_s;
-  if (supervision.shed_watermark_per_ms > 0) {
-    shed_r = ShedToWatermark(*in.r, supervision.shed_watermark_per_ms,
-                             supervision.shed_max_lag_ms, supervision.seed);
-    shed_s = ShedToWatermark(*in.s, supervision.shed_watermark_per_ms,
-                             supervision.shed_max_lag_ms,
-                             supervision.seed + 1);
-    in_r = &shed_r.stream;
-    in_s = &shed_s.stream;
-    pipeline.recovery.tuples_shed = shed_r.tuples_shed + shed_s.tuples_shed;
-    const uint64_t in = shed_r.tuples_in + shed_s.tuples_in;
-    pipeline.recovery.shed_ratio =
-        in > 0 ? static_cast<double>(pipeline.recovery.tuples_shed) /
-                     static_cast<double>(in)
-               : 0;
-    if (pipeline.recovery.tuples_shed > 0) {
-      pipeline.recovery.events.push_back(
-          {RecoveryAction::kShedLoad, StatusCode::kOk, 0,
-           "shed " + std::to_string(pipeline.recovery.tuples_shed) + " of " +
-               std::to_string(in) + " tuples at watermark " +
-               std::to_string(supervision.shed_watermark_per_ms) + "/ms",
-           0});
-    }
-  }
+  const IngestPolicy ingest = IngestPolicy::Resolve(
+      spec.disorder_slack_ms, spec.allowed_lateness_ms, spec.ingest_dedup);
+  WindowOperator op(shape, ingest, supervision);
 
   // Completed-window totals drive the skipped-window loss estimator.
   uint64_t ok_inputs = 0;
   uint64_t ok_matches = 0;
+  bool stopped = false;
 
-  uint32_t index = 0;
-  for (const auto& [start, length] : segments) {
-    const Stream wr = SliceWindow(*in_r, start, length);
-    const Stream ws = SliceWindow(*in_s, start, length);
-    ++index;
-    if (wr.size() == 0 && ws.size() == 0) continue;
-
+  op.Flush(r.tuples, s.tuples, [&](SealedWindow window) {
+    if (stopped) return;
+    const Stream& wr = window.r;
+    const Stream& ws = window.s;
     JoinSpec window_spec = spec;
-    window_spec.window_ms = length;
-    trace::Instant("window_open", static_cast<double>(index - 1));
+    window_spec.window_ms = window.length_ms;
+    trace::Instant("window_open", static_cast<double>(window.index));
     WindowRun run;
-    run.window_index = index - 1;
-    run.window_start_ms = start;
+    run.window_index = window.index;
+    run.window_start_ms = window.start_ms;
     const AlgorithmId id = policy(wr, ws);
-    if (supervision.Enabled()) {
-      run.result = SuperviseAttempts(
-          id, window_spec, supervision,
-          [&](AlgorithmId attempt_id, const JoinSpec& attempt_spec) {
-            return RunWindowOnce(runner, attempt_id, wr, ws, attempt_spec,
-                                 index - 1);
-          });
-      pipeline.recovery.Merge(run.result.recovery);
-    } else {
-      run.result = RunWindowOnce(runner, id, wr, ws, window_spec, index - 1);
-    }
+    run.result = RunWindowOnce(runner, id, wr, ws, window_spec, supervision,
+                               window.index);
+    if (supervision.Enabled()) pipeline.recovery.Merge(run.result.recovery);
     const bool failed = !run.result.status.ok();
     if (!failed) {
       pipeline.total_inputs += run.result.inputs;
@@ -180,7 +67,7 @@ PipelineResult RunSegments(
       ok_inputs += run.result.inputs;
       ok_matches += run.result.matches;
     }
-    trace::Instant("window_close", static_cast<double>(index - 1));
+    trace::Instant("window_close", static_cast<double>(window.index));
     trace::Counter("pipeline_matches",
                    static_cast<double>(pipeline.total_matches));
     if (failed && supervision.skip_failed_windows &&
@@ -209,39 +96,34 @@ PipelineResult RunSegments(
       pipeline.recovery.events.push_back(
           {RecoveryAction::kSkipWindow, run.result.status.code(),
            pipeline.recovery.attempts,
-           "window " + std::to_string(index - 1) + " skipped after " +
+           "window " + std::to_string(window.index) + " skipped after " +
                run.result.status.ToString() + "; dropped " +
                std::to_string(dropped) + " tuples",
            0});
-      trace::Instant("window_skip", static_cast<double>(index - 1));
+      trace::Instant("window_skip", static_cast<double>(window.index));
       pipeline.windows.push_back(std::move(run));
-      continue;
+      return;
     }
-    if (failed) pipeline.status = run.result.status;
+    if (failed) {
+      pipeline.status = run.result.status;
+      stopped = true;
+    }
     pipeline.windows.push_back(std::move(run));
-    if (failed) break;
-  }
-  if (in.active) {
-    pipeline.ingest = in.stats;
-    const uint64_t quarantined = in.stats.quarantined();
-    if (quarantined > 0) {
-      // Quarantined tuples are bounded loss, same as a skipped window:
-      // count them and extrapolate the matches they would have produced
-      // from the completed windows' match rate.
-      const double rate = ok_inputs > 0 ? static_cast<double>(ok_matches) /
-                                              static_cast<double>(ok_inputs)
-                                        : 0;
-      pipeline.recovery.tuples_dropped += quarantined;
-      pipeline.recovery.est_matches_lost +=
-          rate * static_cast<double>(quarantined);
-      pipeline.recovery.events.push_back(
-          {RecoveryAction::kQuarantine, StatusCode::kOk, 0,
-           "ingest quarantined " + std::to_string(quarantined) + " tuples (" +
-               std::to_string(in.stats.late_dropped) + " late, " +
-               std::to_string(in.stats.duplicates) + " duplicate, " +
-               std::to_string(in.stats.corrupt) + " corrupt)",
-           0});
-    }
+  });
+
+  // Shedding is reported ahead of the windows' events, as it happened
+  // before any of them ran; quarantine follows them, priced at the
+  // completed windows' match rate.
+  RecoveryLog recovery = ShedLoss(op.tuples_shed(), op.shed_in(),
+                                  supervision.shed_watermark_per_ms);
+  recovery.Merge(pipeline.recovery);
+  pipeline.recovery = std::move(recovery);
+  if (ingest.Enabled()) {
+    pipeline.ingest = op.ingest_stats();
+    const double rate = ok_inputs > 0 ? static_cast<double>(ok_matches) /
+                                            static_cast<double>(ok_inputs)
+                                      : 0;
+    pipeline.recovery.Merge(QuarantineLoss(pipeline.ingest, rate));
   }
   return pipeline;
 }
@@ -257,13 +139,8 @@ PipelineResult RunTumblingWindows(const Stream& r, const Stream& s,
         Status::InvalidArgument("tumbling windows need window_ms >= 1");
     return pipeline;
   }
-  const IngestedInputs in = ApplyIngest(r, s, spec);
-  const uint64_t max_ts = std::max<uint64_t>(in.r->MaxTs(), in.s->MaxTs());
-  std::vector<std::pair<uint64_t, uint32_t>> segments;
-  for (uint64_t start = 0; start <= max_ts; start += spec.window_ms) {
-    segments.emplace_back(start, spec.window_ms);
-  }
-  return RunSegments(in, spec, segments, policy);
+  return RunWindows(r, s, spec, WindowShape::Tumbling(spec.window_ms),
+                    policy);
 }
 
 PipelineResult RunTumblingWindows(AlgorithmId id, const Stream& r,
@@ -281,13 +158,8 @@ PipelineResult RunSlidingWindows(const Stream& r, const Stream& s,
         Status::InvalidArgument("sliding windows need hop_ms >= 1");
     return pipeline;
   }
-  const IngestedInputs in = ApplyIngest(r, s, spec);
-  const uint64_t max_ts = std::max<uint64_t>(in.r->MaxTs(), in.s->MaxTs());
-  std::vector<std::pair<uint64_t, uint32_t>> segments;
-  for (uint64_t start = 0; start <= max_ts; start += hop_ms) {
-    segments.emplace_back(start, spec.window_ms);
-  }
-  return RunSegments(in, spec, segments, policy);
+  return RunWindows(r, s, spec, WindowShape::Sliding(spec.window_ms, hop_ms),
+                    policy);
 }
 
 PipelineResult RunSlidingWindows(AlgorithmId id, const Stream& r,
@@ -306,31 +178,7 @@ PipelineResult RunSessionWindows(const Stream& r, const Stream& s,
         Status::InvalidArgument("session windows need gap_ms >= 1");
     return pipeline;
   }
-  const IngestedInputs in = ApplyIngest(r, s, spec);
-  // Merge the two arrival sequences and split wherever both streams are
-  // silent for at least gap_ms.
-  std::vector<uint32_t> arrivals;
-  arrivals.reserve(in.r->size() + in.s->size());
-  for (const Tuple& t : in.r->tuples) arrivals.push_back(t.ts);
-  for (const Tuple& t : in.s->tuples) arrivals.push_back(t.ts);
-  std::sort(arrivals.begin(), arrivals.end());
-
-  std::vector<std::pair<uint64_t, uint32_t>> segments;
-  if (!arrivals.empty()) {
-    uint64_t session_start = arrivals.front();
-    uint32_t last = arrivals.front();
-    for (uint32_t ts : arrivals) {
-      if (ts - last >= gap_ms) {
-        segments.emplace_back(session_start,
-                              static_cast<uint32_t>(last - session_start) + 1);
-        session_start = ts;
-      }
-      last = ts;
-    }
-    segments.emplace_back(session_start,
-                          static_cast<uint32_t>(last - session_start) + 1);
-  }
-  return RunSegments(in, spec, segments, policy);
+  return RunWindows(r, s, spec, WindowShape::Session(gap_ms), policy);
 }
 
 PipelineResult RunSessionWindows(AlgorithmId id, const Stream& r,

@@ -2,14 +2,16 @@
 //
 // The paper scopes itself to a single window and notes that "designing
 // efficient inter-window join algorithms by taking IaWJ as a building block
-// is an exciting topic for further investigation" (§2). This pipeline is
-// that building-block composition for tumbling windows: the input streams
-// are segmented into consecutive windows of equal length, each window is
-// joined with a configurable IaWJ algorithm (optionally chosen per window
-// by the adaptive policy), and per-window metrics aggregate into a run
-// summary. Each window is replayed on its own clock, i.e. windows execute
-// back-to-back rather than overlapped — a deliberate simplification that
-// keeps per-window semantics identical to the paper's single-window runs.
+// is an exciting topic for further investigation" (§2). These pipelines are
+// that composition for tumbling, sliding and session windows: both input
+// streams are pushed whole into a WindowOperator (join/window_operator.h) —
+// the same ingest → shed → segment operator iawj_serve feeds batch by
+// batch — which is then flushed; each window it seals is joined with a
+// configurable IaWJ algorithm (optionally chosen per window by the adaptive
+// policy), and per-window metrics aggregate into a run summary. Each window
+// is replayed on its own clock, i.e. windows execute back-to-back rather
+// than overlapped — a deliberate simplification that keeps per-window
+// semantics identical to the paper's single-window runs.
 #ifndef IAWJ_JOIN_WINDOW_PIPELINE_H_
 #define IAWJ_JOIN_WINDOW_PIPELINE_H_
 
@@ -50,10 +52,8 @@ struct PipelineResult {
   RecoveryLog recovery;
 
   // Disorder-tolerant ingestion accounting (stream/disorder.h): all-zero
-  // unless an ingest policy was configured, in which case both inputs went
-  // through the reorder buffer + watermark + quarantine before
-  // segmentation, and quarantined tuples are folded into `recovery`'s
-  // bounded-loss fields.
+  // unless an ingest policy was configured; quarantined tuples are folded
+  // into `recovery`'s bounded-loss fields.
   IngestStats ingest;
 };
 
@@ -68,10 +68,9 @@ using AlgorithmPolicy =
 // clock settings apply to every window (each window restarts the clock).
 // When the spec resolves an ingest policy (disorder_slack_ms /
 // allowed_lateness_ms / ingest_dedup or their env vars), r and s are taken
-// as arrival-order sequences and fed through stream/disorder.h first —
-// windows are sealed by the watermark-driven flush, not by assuming the
-// input arrived sorted. The same applies to the sliding and session entry
-// points below.
+// as arrival-order sequences and restored by the operator's ingestion, R
+// before S; a shed watermark thins them after. The same applies to the
+// sliding and session entry points below.
 PipelineResult RunTumblingWindows(const Stream& r, const Stream& s,
                                   const JoinSpec& spec,
                                   const AlgorithmPolicy& policy);

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -274,14 +275,19 @@ Status ParseBatch(const json::Value& message, std::vector<Tuple>* r,
       return Status::InvalidArgument(std::string("batch '") + key +
                                      "' is not an array");
     }
+    // Both fields must be integers a uint32_t holds exactly: a cast would
+    // silently turn 5e9 into 4294967295 and 1.5 into 1.
+    const auto is_u32 = [](const json::Value& v) {
+      return v.is_number() && v.number >= 0 && v.number <= 4294967295.0 &&
+             v.number == std::floor(v.number);
+    };
     out->reserve(out->size() + tuples->array.size());
     for (const json::Value& entry : tuples->array) {
       if (!entry.is_array() || entry.array.size() != 2 ||
-          !entry.array[0].is_number() || !entry.array[1].is_number() ||
-          entry.array[0].number < 0 || entry.array[1].number < 0) {
+          !is_u32(entry.array[0]) || !is_u32(entry.array[1])) {
         return Status::InvalidArgument(
             std::string("batch '") + key +
-            "' tuples must be [ts, key] pairs of non-negative numbers");
+            "' tuples must be [ts, key] pairs of integers in [0, 2^32 - 1]");
       }
       out->push_back(Tuple{static_cast<uint32_t>(entry.array[0].number),
                            static_cast<uint32_t>(entry.array[1].number)});

@@ -10,12 +10,13 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <utility>
 
-#include "src/common/fault.h"
 #include "src/common/logging.h"
 #include "src/join/runner.h"
 #include "src/join/supervisor.h"
+#include "src/join/window_operator.h"
 #include "src/memory/tracker.h"
 #include "src/profiling/metrics.h"
 #include "src/profiling/run_record.h"
@@ -60,43 +61,6 @@ double EnvDouble(const char* name, double fallback) {
   return parsed;
 }
 
-// Same slice as window_pipeline.cc's: tuples with ts in [start, start +
-// length), timestamps rebased to the window-local origin. The rebase is
-// load-bearing for the differential tests — the checksum mixes timestamps,
-// so serving and offline must present identical window-local values.
-Stream SliceWindow(const std::vector<Tuple>& tuples, uint64_t start,
-                   uint32_t length) {
-  const auto lo = std::lower_bound(
-      tuples.begin(), tuples.end(), start,
-      [](const Tuple& t, uint64_t v) { return t.ts < v; });
-  const auto hi = std::lower_bound(
-      lo, tuples.end(), start + length,
-      [](const Tuple& t, uint64_t v) { return t.ts < v; });
-  Stream window;
-  window.tuples.reserve(static_cast<size_t>(hi - lo));
-  for (auto it = lo; it != hi; ++it) {
-    window.tuples.push_back(
-        Tuple{static_cast<uint32_t>(it->ts - start), it->key});
-  }
-  return window;
-}
-
-// One window attempt with the same "window_fail" fault site the offline
-// pipeline hosts, so chaos schedules exercise daemon windows identically.
-RunResult RunWindowOnce(JoinRunner& runner, AlgorithmId id, const Stream& wr,
-                        const Stream& ws, const JoinSpec& window_spec,
-                        uint64_t window_index) {
-  if (fault::Enabled() && fault::Inject("window_fail")) {
-    RunResult result;
-    result.algorithm = std::string(AlgorithmName(id));
-    result.inputs = wr.size() + ws.size();
-    result.status = Status::Internal("injected window failure (window " +
-                                     std::to_string(window_index) + ")");
-    return result;
-  }
-  return runner.Run(id, wr, ws, window_spec);
-}
-
 void BumpCounter(const char* name, uint64_t n = 1) {
   if (!metrics::Enabled()) return;
   if (auto* counter = metrics::GetCounter(name)) counter->Add(n);
@@ -134,13 +98,9 @@ struct ServeServer::TenantSession {
   int slot = -1;
   SupervisorPolicy supervision;
   IngestPolicy ingest_policy;
-  // Sealing is deferred to end-of-stream when ingestion or shedding is
-  // configured: both transforms are whole-timeline operations and must see
-  // the same sequence the offline pipeline would.
-  bool defer_sealing = false;
-
-  std::vector<Tuple> r, s;     // retained arrivals, per stream
-  uint64_t next_seal_start = 0;  // first unsealed tumbling slot (eager path)
+  // The tenant's ingest → shed → segment state: only unsealed tuples and
+  // the reorder buffers live here, never the whole stream.
+  std::optional<WindowOperator> windows;
 
   // Skew detector state: the radix bits subsequent windows run with.
   std::atomic<int> radix_bits{0};
@@ -148,9 +108,8 @@ struct ServeServer::TenantSession {
   std::atomic<uint64_t> completed{0};
 
   // Bounded-loss accounting outside individual windows.
-  uint64_t tuples_shed = 0;       // end-of-stream + backlog shedding
+  uint64_t tuples_shed = 0;       // watermark + backlog shedding
   uint64_t backlog_shed_events = 0;
-  IngestStats ingest_stats;
 
   std::mutex results_mu;
   std::vector<WindowResult> results;
@@ -374,8 +333,8 @@ void ServeServer::HandleConnection(int fd) {
       session.tenant.spec.disorder_slack_ms,
       session.tenant.spec.allowed_lateness_ms,
       session.tenant.spec.ingest_dedup);
-  session.defer_sealing = session.ingest_policy.Enabled() ||
-                          session.supervision.shed_watermark_per_ms > 0;
+  session.windows.emplace(WindowShape::Tumbling(session.tenant.spec.window_ms),
+                          session.ingest_policy, session.supervision);
   session.radix_bits.store(session.tenant.spec.radix_bits,
                            std::memory_order_relaxed);
   WriteFrame(fd, OkJson());
@@ -396,7 +355,7 @@ void ServeServer::HandleConnection(int fd) {
     if (timed_out) {
       if (!draining_.load(std::memory_order_relaxed)) continue;
       // Server-initiated drain: seal as if the client had sent end.
-      SealFinal(&session, fd, /*send=*/true);
+      SealFinal(&session, fd);
       sealed = true;
       break;
     }
@@ -412,7 +371,7 @@ void ServeServer::HandleConnection(int fd) {
     const std::string op_name = op != nullptr ? op->string : "";
 
     if (op_name == "end") {
-      SealFinal(&session, fd, /*send=*/true);
+      SealFinal(&session, fd);
       sealed = true;
       break;
     }
@@ -427,37 +386,41 @@ void ServeServer::HandleConnection(int fd) {
       // daemon acked before the drain. The unacked batch is the client's to
       // replay elsewhere — acking it here would promise a seal the
       // draining daemon may not deliver.
-      SealFinal(&session, fd, /*send=*/true);
+      SealFinal(&session, fd);
       sealed = true;
       break;
     }
 
     std::vector<Tuple> batch_r, batch_s;
     Status admitted = ParseBatch(message, &batch_r, &batch_s);
-    // Without an ingest policy the engine's sorted-stream contract is the
-    // client's to honor; a regressing timestamp would silently corrupt
-    // window slicing, so it is refused typed instead.
-    if (admitted.ok() && !session.ingest_policy.Enabled()) {
-      const auto regresses = [](const std::vector<Tuple>& buffered,
-                                const std::vector<Tuple>& batch) {
-        uint32_t last = buffered.empty() ? 0 : buffered.back().ts;
-        for (const Tuple& t : batch) {
-          if (t.ts < last) return true;
-          last = t.ts;
+    // Without an ingest policy the sorted-stream contract and the key domain
+    // are the client's to honor: a regressing timestamp would corrupt window
+    // slicing and an out-of-domain key the sort and linear-probe joins, so
+    // both are refused typed. An ingest policy reorders or quarantines them.
+    for (int i = 0; i < 2 && admitted.ok(); ++i) {
+      if (session.ingest_policy.Enabled()) break;
+      uint64_t last = session.windows->frontier(i);
+      for (const Tuple& t : i == 0 ? batch_r : batch_s) {
+        if (t.ts < last) {
+          admitted = Status::InvalidArgument(
+              "timestamps regress within the stream; configure "
+              "disorder_slack_ms/allowed_lateness_ms to accept out-of-order "
+              "arrivals");
+          break;
         }
-        return false;
-      };
-      if (regresses(session.r, batch_r) || regresses(session.s, batch_s)) {
-        admitted = Status::InvalidArgument(
-            "timestamps regress within the stream; configure "
-            "disorder_slack_ms/allowed_lateness_ms to accept out-of-order "
-            "arrivals");
+        if (t.key >= kKeyDomainLimit) {
+          admitted = Status::InvalidArgument(
+              "key " + std::to_string(t.key) +
+              " is outside the key domain [0, 2^31)");
+          break;
+        }
+        last = t.ts;
       }
     }
     if (admitted.ok()) {
-      const uint64_t retained = session.r.size() + session.s.size();
+      const uint64_t buffered = session.windows->buffered();
       const uint64_t incoming = batch_r.size() + batch_s.size();
-      if (retained + incoming >
+      if (buffered + incoming >
           static_cast<uint64_t>(options_.max_buffer_tuples)) {
         if (session.supervision.shed_watermark_per_ms > 0) {
           // Backlog shedding: thin the incoming batch with the tenant's
@@ -474,17 +437,13 @@ void ServeServer::HandleConnection(int fd) {
             shed += result.tuples_shed;
             *batch = std::move(result.stream.tuples);
           }
-          session.tuples_shed += shed;
-          {
-            std::lock_guard<std::mutex> lock(stats_mu_);
-            stats_.tuples_shed += shed;
-          }
-          BumpCounter("serve.tuples_shed", shed);
+          CountShed(&session, shed);
         } else {
           admitted = Status::ResourceExhausted(
               "tenant buffer full (" +
               std::to_string(options_.max_buffer_tuples) +
-              " tuples); drain with end or configure shed_watermark_per_ms");
+              " unsealed tuples); drain with end or configure "
+              "shed_watermark_per_ms");
         }
       }
     }
@@ -499,14 +458,16 @@ void ServeServer::HandleConnection(int fd) {
     }
 
     const uint64_t incoming = batch_r.size() + batch_s.size();
-    session.r.insert(session.r.end(), batch_r.begin(), batch_r.end());
-    session.s.insert(session.s.end(), batch_s.begin(), batch_s.end());
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       stats_.tuples_in += incoming;
     }
     BumpCounter("serve.tuples_in", incoming);
-    if (!session.defer_sealing) SealReadyWindows(&session);
+    const uint64_t shed_before = session.windows->tuples_shed();
+    session.windows->Push(batch_r, batch_s, [&](SealedWindow window) {
+      SubmitWindow(&session, std::move(window));
+    });
+    CountShed(&session, session.windows->tuples_shed() - shed_before);
     WriteFrame(fd, OkJson());
   }
 
@@ -520,94 +481,24 @@ void ServeServer::HandleConnection(int fd) {
   }
 }
 
-void ServeServer::SealReadyWindows(TenantSession* session) {
-  // A tumbling slot [start, start + w) is sealed once BOTH streams have
-  // advanced to its end: per-stream timestamps are non-decreasing (enforced
-  // at batch admission on this path), so every future arrival lands at or
-  // past min(frontier_r, frontier_s) — eager windows see exactly the tuples
-  // the offline pipeline would.
-  if (session->r.empty() || session->s.empty()) return;
-  const uint32_t w = session->tenant.spec.window_ms;
-  const uint64_t frontier =
-      std::min<uint64_t>(session->r.back().ts, session->s.back().ts);
-  while (session->next_seal_start + w <= frontier) {
-    const uint64_t start = session->next_seal_start;
-    session->next_seal_start += w;
-    Stream wr = SliceWindow(session->r, start, w);
-    Stream ws = SliceWindow(session->s, start, w);
-    if (wr.size() == 0 && ws.size() == 0) continue;  // like the pipeline
-    SubmitWindow(session, start, std::move(wr), std::move(ws));
+void ServeServer::CountShed(TenantSession* session, uint64_t shed) {
+  if (shed == 0) return;
+  session->tuples_shed += shed;
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_.tuples_shed += shed;
   }
+  BumpCounter("serve.tuples_shed", shed);
 }
 
-void ServeServer::SealFinal(TenantSession* session, int fd, bool send) {
-  const JoinSpec& spec = session->tenant.spec;
-  const uint32_t w = spec.window_ms;
-
-  if (session->defer_sealing) {
-    // Mirror of window_pipeline.cc's ApplyIngest + RunSegments preamble:
-    // restore order over the whole arrival sequence, shed the whole
-    // timeline, then segment — identical transforms, identical windows.
-    Stream stream_r, stream_s;
-    stream_r.tuples = std::move(session->r);
-    stream_s.tuples = std::move(session->s);
-    if (session->ingest_policy.Enabled()) {
-      IngestResult ingested_r = IngestStream(stream_r, session->ingest_policy);
-      IngestResult ingested_s = IngestStream(stream_s, session->ingest_policy);
-      session->ingest_stats = ingested_r.stats;
-      session->ingest_stats.Merge(ingested_s.stats);
-      stream_r = std::move(ingested_r.stream);
-      stream_s = std::move(ingested_s.stream);
-      PublishIngestMetrics(session->ingest_stats);
-    }
-    if (session->supervision.shed_watermark_per_ms > 0) {
-      ShedResult shed_r = ShedToWatermark(
-          stream_r, session->supervision.shed_watermark_per_ms,
-          session->supervision.shed_max_lag_ms, session->supervision.seed);
-      ShedResult shed_s = ShedToWatermark(
-          stream_s, session->supervision.shed_watermark_per_ms,
-          session->supervision.shed_max_lag_ms, session->supervision.seed + 1);
-      session->tuples_shed += shed_r.tuples_shed + shed_s.tuples_shed;
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        stats_.tuples_shed += shed_r.tuples_shed + shed_s.tuples_shed;
-      }
-      BumpCounter("serve.tuples_shed",
-                  shed_r.tuples_shed + shed_s.tuples_shed);
-      stream_r = std::move(shed_r.stream);
-      stream_s = std::move(shed_s.stream);
-    }
-    const uint64_t max_ts =
-        std::max<uint64_t>(stream_r.MaxTs(), stream_s.MaxTs());
-    if (stream_r.size() + stream_s.size() > 0) {
-      for (uint64_t start = 0; start <= max_ts; start += w) {
-        Stream wr = SliceWindow(stream_r.tuples, start, w);
-        Stream ws = SliceWindow(stream_s.tuples, start, w);
-        if (wr.size() == 0 && ws.size() == 0) continue;
-        SubmitWindow(session, start, std::move(wr), std::move(ws));
-      }
-    }
-  } else {
-    // Eager path: everything below next_seal_start already ran; the tail up
-    // to the overall max timestamp seals now, matching the offline
-    // enumeration 0..max_ts inclusive.
-    const uint64_t max_ts = std::max<uint64_t>(
-        session->r.empty() ? 0 : session->r.back().ts,
-        session->s.empty() ? 0 : session->s.back().ts);
-    if (session->r.size() + session->s.size() > 0) {
-      for (uint64_t start = session->next_seal_start; start <= max_ts;
-           start += w) {
-        Stream wr = SliceWindow(session->r, start, w);
-        Stream ws = SliceWindow(session->s, start, w);
-        if (wr.size() == 0 && ws.size() == 0) continue;
-        SubmitWindow(session, start, std::move(wr), std::move(ws));
-      }
-      session->next_seal_start = max_ts + 1;
-    }
-  }
+void ServeServer::SealFinal(TenantSession* session, int fd) {
+  const uint64_t shed_before = session->windows->tuples_shed();
+  session->windows->Flush({}, {}, [&](SealedWindow window) {
+    SubmitWindow(session, std::move(window));
+  });
+  CountShed(session, session->windows->tuples_shed() - shed_before);
 
   pool_.WaitIdle(session->slot);
-  if (!send) return;
 
   std::vector<WindowResult> results;
   {
@@ -623,7 +514,7 @@ void ServeServer::SealFinal(TenantSession* session, int fd, bool send) {
   uint64_t inputs = 0, matches = 0, checksum = 0;
   bool recovered = false;
   bool degraded = session->tuples_shed > 0 ||
-                  session->ingest_stats.quarantined() > 0;
+                  session->windows->ingest_stats().quarantined() > 0;
   for (const WindowResult& window : results) {
     WriteFrame(fd, WindowJson(window));
     recovered = recovered || window.recovered;
@@ -638,10 +529,10 @@ void ServeServer::SealFinal(TenantSession* session, int fd, bool send) {
                          matches, checksum, recovered, degraded));
 }
 
-void ServeServer::SubmitWindow(TenantSession* session, uint64_t start,
-                               Stream wr, Stream ws) {
+void ServeServer::SubmitWindow(TenantSession* session, SealedWindow window) {
   const JoinSpec& spec = session->tenant.spec;
-  const uint64_t window_index = start / spec.window_ms;
+  const uint64_t window_index = window.index;
+  const uint64_t start = window.start_ms;
 
   WindowResult shell;
   shell.window_index = window_index;
@@ -651,8 +542,9 @@ void ServeServer::SubmitWindow(TenantSession* session, uint64_t start,
   // Memory admission: the estimated footprint must fit both this tenant's
   // share of the budget and the budget's remaining headroom (Preflight).
   // Refused windows never reach the pool; the client gets a typed result.
+  const uint64_t window_inputs = window.r.size() + window.s.size();
   const int64_t estimate =
-      static_cast<int64_t>(wr.size() + ws.size()) * kBytesPerTuplePreflight;
+      static_cast<int64_t>(window_inputs) * kBytesPerTuplePreflight;
   Status admission = Status::Ok();
   const int64_t budget = mem::BudgetBytes();
   if (budget > 0 &&
@@ -668,7 +560,7 @@ void ServeServer::SubmitWindow(TenantSession* session, uint64_t start,
   if (!admission.ok()) {
     shell.status_code = std::string(StatusCodeName(admission.code()));
     shell.status_message = admission.message();
-    shell.inputs = wr.size() + ws.size();
+    shell.inputs = window_inputs;
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.windows_shed;
@@ -686,25 +578,17 @@ void ServeServer::SubmitWindow(TenantSession* session, uint64_t start,
       session->completed.load(std::memory_order_relaxed);
   session->submitted.fetch_add(1, std::memory_order_relaxed);
 
-  // WindowJob is a std::function (copyable), so the sliced inputs ride in a
-  // shared_ptr instead of being copied per std::function copy.
-  auto inputs = std::make_shared<std::pair<Stream, Stream>>(std::move(wr),
-                                                            std::move(ws));
+  // WindowJob is a std::function (copyable), so the sealed window rides in
+  // a shared_ptr instead of being copied per std::function copy.
+  auto inputs = std::make_shared<SealedWindow>(std::move(window));
   const bool submitted = pool_.Submit(
       session->slot,
       [this, session, inputs, window_spec, window_index, start, shell,
        queue_depth](int worker, bool stolen, double wait_ms) {
         JoinRunner runner;
-        const AttemptFn attempt = [&](AlgorithmId id,
-                                      const JoinSpec& attempt_spec) {
-          return RunWindowOnce(runner, id, inputs->first, inputs->second,
-                               attempt_spec, window_index);
-        };
-        RunResult result =
-            session->supervision.Enabled()
-                ? SuperviseAttempts(session->tenant.algo, window_spec,
-                                    session->supervision, attempt)
-                : attempt(session->tenant.algo, window_spec);
+        const RunResult result =
+            RunWindowOnce(runner, session->tenant.algo, inputs->r, inputs->s,
+                          window_spec, session->supervision, window_index);
 
         WindowResult window = shell;
         if (!result.algorithm.empty()) window.algorithm = result.algorithm;

@@ -1,30 +1,24 @@
-// The iawj_serve daemon core: a long-lived multi-tenant join service
-// (ISSUE 10 tentpole, ROADMAP "millions of users" front door).
+// The iawj_serve daemon core: a long-lived multi-tenant join service.
 //
 // One ServeServer owns a Unix-domain listening socket, one connection
 // thread per client, and one FairSharePool shared by every tenant. A
 // connection speaks the newline-framed JSON protocol (serve/protocol.h):
-// hello registers a tenant (admission-controlled), batches append to the
-// tenant's arrival buffers, and windows seal onto the pool as tumbling
-// slots complete — eagerly while the stream flows when no ingest/shed
-// policy defers sealing, and at end-of-stream otherwise, because the
-// disorder-ingest and shed-to-watermark transforms are whole-timeline
-// operations (stream/disorder.h, stream.h) and splitting them would
-// diverge from the offline pipeline the differential tests compare against.
-//
-// Execution reuses the existing stack unchanged: each sealed window runs
-// through supervisor.h's SuperviseAttempts under the tenant's resolved
-// policy (retries, fallback chains, bounded-loss skip accounting), exactly
-// as join/window_pipeline.cc drives offline pipelines — which is what makes
-// a daemon-executed window byte-identical (matches, checksum) to the same
-// spec run through iawj_cli.
+// hello registers a tenant (admission-controlled) and gives it a
+// WindowOperator (join/window_operator.h); each batch is pushed into it, and
+// every tumbling window it seals goes onto the pool while the stream flows.
+// Ingestion and shedding run incrementally inside the operator, the same
+// code the offline pipeline pushes whole streams through, and each window
+// runs through RunWindowOnce under the tenant's supervision policy — so a
+// served window is byte-identical (matches, checksum) to the same spec run
+// through iawj_cli, by construction.
 //
 // Admission control, per tenant:
 //   - tenant count:    hello is refused (resource_exhausted) at the
 //                      max_tenants bound, or while draining
 //                      (failed_precondition);
-//   - arrival buffer:  a batch that would push the tenant's retained
-//                      tuples past max_buffer_tuples is refused
+//   - unsealed tuples: a batch that would push the tuples the tenant's
+//                      operator holds (unsealed windows plus the reorder
+//                      buffer) past max_buffer_tuples is refused
 //                      (resource_exhausted) — unless the tenant configured
 //                      a shed watermark, in which case the incoming batch
 //                      is thinned by ShedToWatermark and admitted with the
@@ -45,9 +39,9 @@
 // (the match multiset is algorithm- and radix-invariant).
 //
 // Drain (SIGTERM): RequestDrain stops admitting tenants (late hellos are
-// still accepted and refused typed), and every connection seals its
-// buffered tail as if the client had sent end — in-flight and buffered
-// windows complete, their v9 run records flush, clients receive the full
+// still accepted and refused typed), and every connection flushes its
+// operator as if the client had sent end — in-flight and unsealed windows
+// complete, their v9 run records flush, clients receive the full
 // window/bye tail — then Shutdown stops the accept loop and joins
 // everything.
 #ifndef IAWJ_SERVE_SERVER_H_
@@ -62,6 +56,7 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/join/window_operator.h"
 #include "src/serve/pool.h"
 #include "src/serve/protocol.h"
 #include "src/stream/stream.h"
@@ -92,7 +87,7 @@ class ServeServer {
     uint64_t tenants_rejected = 0;
     uint64_t batches_rejected = 0;
     uint64_t tuples_in = 0;
-    uint64_t tuples_shed = 0;      // backlog shedding (ShedToWatermark)
+    uint64_t tuples_shed = 0;      // watermark + backlog shedding
     uint64_t windows_done = 0;
     uint64_t windows_shed = 0;     // admission-refused windows
     uint64_t repartitions = 0;     // skew-detector radix bumps
@@ -145,12 +140,12 @@ class ServeServer {
   // Joins and erases every connection whose handler has finished.
   void ReapConnectionsLocked();
   void HandleConnection(int fd);
-  // Seals windows, waits for the tenant's jobs, and (when `send` is true)
-  // writes the window/bye tail to the client.
-  void SealFinal(TenantSession* session, int fd, bool send);
-  void SealReadyWindows(TenantSession* session);
-  void SubmitWindow(TenantSession* session, uint64_t start, Stream wr,
-                    Stream ws);
+  // Flushes the tenant's operator, waits for its jobs, and writes the
+  // window/bye tail to the client.
+  void SealFinal(TenantSession* session, int fd);
+  void SubmitWindow(TenantSession* session, SealedWindow window);
+  // Folds tuples the tenant's shedding dropped into the loss accounting.
+  void CountShed(TenantSession* session, uint64_t shed);
   void MaybeRepartition(TenantSession* session);
 
   ServeOptions options_;

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <deque>
-#include <queue>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -17,10 +14,6 @@
 namespace iawj {
 
 namespace {
-
-// Generators keep keys below 2^31 (datagen/micro.h); anything above is a
-// corrupted delivery, not a joinable tuple.
-constexpr uint32_t kKeyDomainLimit = 1u << 31;
 
 // How far the disorder_burst fault holds a delivery back, and how long the
 // watermark_stall fault freezes the generator. Both deliberately exceed any
@@ -127,130 +120,155 @@ uint32_t WatermarkGenerator::Observe(uint32_t ts) {
   return watermark_;
 }
 
-IngestResult IngestStream(const Stream& arrivals, const IngestPolicy& policy) {
-  IngestResult result;
-  IngestStats& st = result.stats;
-  const uint32_t slack = CeilTicks(policy.slack_ms);
-  WatermarkGenerator watermark(policy.allowed_lateness_ms);
+StreamIngester::StreamIngester(const IngestPolicy& policy)
+    : slack_(CeilTicks(policy.slack_ms)),
+      dedup_(policy.dedup),
+      watermark_(policy.allowed_lateness_ms) {}
 
-  // Min-heap by (ts, key): the bounded reorder buffer.
-  std::priority_queue<uint64_t, std::vector<uint64_t>, std::greater<>> buffer;
-  // dedup: multiplicity of each exact (ts, key) currently held in the
-  // buffer; a re-delivery while the original is still pending quarantines.
-  std::unordered_map<uint64_t, uint32_t> pending;
-
-  std::vector<Tuple>& out = result.stream.tuples;
-  out.reserve(arrivals.size());
-  std::vector<Tuple> admitted_late;
-
-  uint32_t max_seen = 0;
-  bool any_seen = false;
-  uint32_t frontier = 0;  // largest released ts
-  bool emitted_any = false;
-
-  const auto drain = [&](bool flush) {
-    while (!buffer.empty()) {
-      const uint64_t top = buffer.top();
-      const uint32_t ts = static_cast<uint32_t>(top >> 32);
-      if (!flush && static_cast<uint64_t>(ts) + slack > max_seen) break;
-      buffer.pop();
-      if (policy.dedup) {
-        const auto it = pending.find(top);
-        if (it != pending.end() && --it->second == 0) pending.erase(it);
-      }
-      out.push_back(Tuple{ts, static_cast<uint32_t>(top)});
-      frontier = ts;
-      emitted_any = true;
+void StreamIngester::Drain(bool flush) {
+  while (!buffer_.empty()) {
+    const uint64_t top = buffer_.top();
+    const uint32_t ts = static_cast<uint32_t>(top >> 32);
+    if (!flush && static_cast<uint64_t>(ts) + slack_ > stats_.max_ts_ms) {
+      break;
     }
-  };
+    buffer_.pop();
+    if (dedup_) {
+      const auto it = pending_.find(top);
+      if (it != pending_.end() && --it->second == 0) pending_.erase(it);
+    }
+    released_.push_back(Tuple{ts, static_cast<uint32_t>(top)});
+    emit_frontier_ = ts;
+  }
+}
 
-  const auto deliver = [&](Tuple t) {
-    ++st.tuples_in;
-    if (t.key >= kKeyDomainLimit) {
-      ++st.corrupt;
+void StreamIngester::Deliver(Tuple t) {
+  ++stats_.tuples_in;
+  if (t.key >= kKeyDomainLimit) {
+    ++stats_.corrupt;
+    return;
+  }
+  const uint32_t wm = watermark_.Observe(t.ts);
+  uint32_t& max_seen = stats_.max_ts_ms;
+  if (t.ts < max_seen) {
+    ++stats_.reordered;
+    stats_.max_disorder_ms = std::max(stats_.max_disorder_ms, max_seen - t.ts);
+  }
+  max_seen = std::max(max_seen, t.ts);
+  if (t.ts < emit_frontier_) {
+    // Behind the emit frontier: this tuple can no longer be placed in
+    // order. Admit it (merged in by Emit) while it is still inside the
+    // allowed lateness, quarantine it once the watermark has passed.
+    ++stats_.late_total;
+    if (t.ts >= wm) {
+      ++stats_.late_admitted;
+      late_.push(HeapKey(t));
+    } else {
+      ++stats_.late_dropped;
+    }
+    return;
+  }
+  const uint64_t packed = HeapKey(t);
+  if (dedup_) {
+    const auto [it, inserted] = pending_.try_emplace(packed, 1u);
+    if (!inserted) {
+      ++stats_.duplicates;
       return;
     }
-    const uint32_t wm = watermark.Observe(t.ts);
-    if (any_seen && t.ts < max_seen) {
-      ++st.reordered;
-      st.max_disorder_ms = std::max(st.max_disorder_ms, max_seen - t.ts);
-    }
-    if (!any_seen || t.ts > max_seen) {
-      max_seen = t.ts;
-      any_seen = true;
-    }
-    if (emitted_any && t.ts < frontier) {
-      // Behind the emit frontier: this tuple can no longer be placed in
-      // order. Admit it (merged at the end) while it is still inside the
-      // allowed lateness, quarantine it once the watermark has passed.
-      ++st.late_total;
-      if (t.ts >= wm) {
-        ++st.late_admitted;
-        admitted_late.push_back(t);
-      } else {
-        ++st.late_dropped;
-      }
-      return;
-    }
-    const uint64_t packed = HeapKey(t);
-    if (policy.dedup) {
-      const auto [it, inserted] = pending.try_emplace(packed, 1u);
-      if (!inserted) {
-        ++st.duplicates;
-        return;
-      }
-    }
-    buffer.push(packed);
-    drain(/*flush=*/false);
-  };
+  }
+  buffer_.push(packed);
+  Drain(/*flush=*/false);
+}
 
-  // Delivery loop. The fault sites perturb the arrival sequence itself:
-  // disorder_burst holds a delivery back ~128 arrivals, late_tuple holds
-  // one to end of stream, dup_tuple delivers one twice.
+uint32_t StreamIngester::frontier() const {
+  return std::min(emit_frontier_, watermark_.Current());
+}
+
+// Appends released and admitted-late tuples below the frontier (everything
+// when flushing), merged by ts with released tuples first on a tie: the
+// order a whole-stream ingest gets by merging its sorted late arrivals into
+// the released sequence at the end.
+void StreamIngester::Emit(bool flush, std::vector<Tuple>* out) {
+  const uint32_t limit = frontier();
+  while (!released_.empty() || !late_.empty()) {
+    const bool from_released =
+        !released_.empty() &&
+        (late_.empty() ||
+         released_.front().ts <= static_cast<uint32_t>(late_.top() >> 32));
+    const Tuple t = from_released
+                        ? released_.front()
+                        : Tuple{static_cast<uint32_t>(late_.top() >> 32),
+                                static_cast<uint32_t>(late_.top())};
+    if (!flush && t.ts >= limit) return;
+    out->push_back(t);
+    ++stats_.tuples_out;
+    if (from_released) {
+      released_.pop_front();
+    } else {
+      late_.pop();
+    }
+  }
+}
+
+void StreamIngester::Push(std::span<const Tuple> arrivals,
+                          std::vector<Tuple>* out) {
+  // The fault sites perturb the arrival sequence itself: disorder_burst
+  // holds a delivery back ~128 arrivals, late_tuple holds one to end of
+  // stream, dup_tuple delivers one twice.
   const bool faults = fault::Enabled();
-  std::deque<std::pair<size_t, Tuple>> burst_held;  // (release index, tuple)
-  std::vector<Tuple> eos_held;
-  size_t arrival_index = 0;
-  for (const Tuple& t : arrivals.tuples) {
+  for (const Tuple& t : arrivals) {
     if (faults) {
       if (fault::Inject("late_tuple")) {
-        eos_held.push_back(t);
+        eos_held_.push_back(t);
         continue;
       }
       if (fault::Inject("disorder_burst")) {
-        burst_held.emplace_back(arrival_index + kBurstDelayArrivals, t);
+        burst_held_.emplace_back(arrival_index_ + kBurstDelayArrivals, t);
         continue;
       }
-      if (fault::Inject("dup_tuple")) deliver(t);
+      if (fault::Inject("dup_tuple")) Deliver(t);
     }
-    deliver(t);
-    ++arrival_index;
-    while (!burst_held.empty() && burst_held.front().first <= arrival_index) {
-      deliver(burst_held.front().second);
-      burst_held.pop_front();
+    Deliver(t);
+    ++arrival_index_;
+    while (!burst_held_.empty() &&
+           burst_held_.front().first <= arrival_index_) {
+      Deliver(burst_held_.front().second);
+      burst_held_.pop_front();
     }
+    Emit(/*flush=*/false, out);
   }
-  for (const auto& [release_at, held] : burst_held) deliver(held);
-  for (const Tuple& held : eos_held) deliver(held);
+}
 
-  // End of stream: flush the buffer — this is what seals the final windows
+void StreamIngester::Flush(std::vector<Tuple>* out) {
+  for (const auto& [release_at, held] : burst_held_) Deliver(held);
+  burst_held_.clear();
+  for (const Tuple& held : eos_held_) Deliver(held);
+  eos_held_.clear();
+  // End of stream: drain the buffer — this is what seals the final windows
   // even when the watermark stalled or never reached them.
-  drain(/*flush=*/true);
+  Drain(/*flush=*/true);
+  Emit(/*flush=*/true, out);
+}
 
-  if (!admitted_late.empty()) {
-    std::sort(admitted_late.begin(), admitted_late.end(),
-              [](Tuple a, Tuple b) { return HeapKey(a) < HeapKey(b); });
-    const auto mid = out.insert(out.end(), admitted_late.begin(),
-                                admitted_late.end()) -
-                     out.begin();
-    std::inplace_merge(out.begin(), out.begin() + mid, out.end(),
-                       [](Tuple a, Tuple b) { return a.ts < b.ts; });
-  }
+size_t StreamIngester::held() const {
+  return buffer_.size() + late_.size() + released_.size() +
+         burst_held_.size() + eos_held_.size();
+}
 
-  st.tuples_out = out.size();
-  st.max_ts_ms = any_seen ? max_seen : 0;
-  st.final_watermark_ms = watermark.Current();
-  st.watermark_clamps = watermark.clamps();
+IngestStats StreamIngester::stats() const {
+  IngestStats st = stats_;
+  st.final_watermark_ms = watermark_.Current();
+  st.watermark_clamps = watermark_.clamps();
+  return st;
+}
+
+IngestResult IngestStream(const Stream& arrivals, const IngestPolicy& policy) {
+  IngestResult result;
+  result.stream.tuples.reserve(arrivals.size());
+  StreamIngester ingester(policy);
+  ingester.Push(arrivals.tuples, &result.stream.tuples);
+  ingester.Flush(&result.stream.tuples);
+  result.stats = ingester.stats();
   return result;
 }
 

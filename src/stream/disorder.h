@@ -35,6 +35,13 @@
 #define IAWJ_STREAM_DISORDER_H_
 
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <queue>
+#include <span>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "src/stream/stream.h"
 
@@ -116,10 +123,60 @@ class WatermarkGenerator {
   uint32_t stall_remaining_ = 0;  // observations the stall fault freezes
 };
 
+// The ingestion layer fed batch by batch: the reorder buffer, watermark and
+// quarantine described above, with their state carried across Push calls.
+// Push appends every tuple whose place in the restored order is final;
+// Flush ends the stream. Pushing an arrival sequence in any chunking and
+// then flushing appends exactly what IngestStream returns for the whole
+// sequence, and fires the ingest fault sites on the same arrivals.
+class StreamIngester {
+ public:
+  explicit StreamIngester(const IngestPolicy& policy);
+
+  void Push(std::span<const Tuple> arrivals, std::vector<Tuple>* out);
+  // End of stream: delivers the fault-held arrivals, drains the reorder
+  // buffer and appends everything left.
+  void Flush(std::vector<Tuple>* out);
+
+  // Every tuple appended from now on has ts >= frontier(): the smaller of
+  // the emit frontier (a later arrival below it is late) and the watermark
+  // (a late arrival below it is dropped, not admitted).
+  uint32_t frontier() const;
+  // Tuples inside: the reorder buffer, released and admitted-late tuples
+  // waiting for the frontier, and arrivals the fault sites hold back.
+  size_t held() const;
+  IngestStats stats() const;
+
+ private:
+  void Deliver(Tuple t);
+  void Drain(bool flush);
+  void Emit(bool flush, std::vector<Tuple>* out);
+
+  uint32_t slack_;
+  bool dedup_;
+  WatermarkGenerator watermark_;
+  IngestStats stats_;
+  // Min-heaps by (ts, key): the bounded reorder buffer, and the late
+  // arrivals admitted behind the emit frontier.
+  std::priority_queue<uint64_t, std::vector<uint64_t>, std::greater<>>
+      buffer_, late_;
+  // dedup: multiplicity of each exact (ts, key) currently held in the
+  // buffer; a re-delivery while the original is still pending quarantines.
+  std::unordered_map<uint64_t, uint32_t> pending_;
+  std::deque<Tuple> released_;  // left the buffer, order not yet final
+  uint32_t emit_frontier_ = 0;  // largest released ts
+  // Fault holds: disorder_burst (release arrival index, tuple) and
+  // late_tuple (to end of stream).
+  std::deque<std::pair<uint64_t, Tuple>> burst_held_;
+  std::vector<Tuple> eos_held_;
+  uint64_t arrival_index_ = 0;
+};
+
 // Feeds an arrival-order sequence (`arrivals.tuples` in delivery order, NOT
 // required to be sorted) through the reorder buffer + watermark + quarantine
-// and returns the restored ordered stream with its accounting. Deterministic
-// in (arrivals, policy, active fault spec). The fault sites
+// and returns the restored ordered stream with its accounting: a
+// StreamIngester pushed everything, then flushed. Deterministic in
+// (arrivals, policy, active fault spec). The fault sites
 // `disorder_burst` (an arrival is held back ~128 deliveries), `late_tuple`
 // (an arrival is held to end of stream) and `dup_tuple` (an arrival is
 // delivered twice) perturb the delivery sequence here.

@@ -60,6 +60,65 @@ StreamStats ComputeStats(const Stream& stream) {
   return stats;
 }
 
+StreamShedder::StreamShedder(double watermark_per_ms, double max_lag_ms,
+                             uint64_t seed)
+    : watermark_per_ms_(watermark_per_ms),
+      lag_bound_(watermark_per_ms * std::max(0.0, max_lag_ms)),
+      rng_(seed) {}
+
+void StreamShedder::Push(std::span<const Tuple> ordered,
+                         uint64_t upstream_frontier, std::vector<Tuple>* out) {
+  tuples_in_ += ordered.size();
+  for (const Tuple& t : ordered) {
+    if (!bucket_.empty() && t.ts != bucket_.front().ts) ShedBucket(out);
+    bucket_.push_back(t);
+  }
+  if (!bucket_.empty() && bucket_.front().ts < upstream_frontier) {
+    ShedBucket(out);
+  }
+}
+
+void StreamShedder::ShedBucket(std::vector<Tuple>* out) {
+  const uint32_t ts = bucket_.front().ts;
+  const size_t arrivals = bucket_.size();
+
+  // Drain the backlog across the silent gap since the previous bucket (the
+  // first bucket finds it empty).
+  backlog_ = std::max(0.0, backlog_ - watermark_per_ms_ *
+                                          static_cast<double>(ts - last_ts_));
+  backlog_ += static_cast<double>(arrivals);
+  last_ts_ = ts;
+
+  size_t shed = 0;
+  if (backlog_ > lag_bound_) {
+    // Lagging beyond the bound: thin this bucket back to it, but never
+    // touch tuples already admitted in earlier buckets.
+    shed = std::min(arrivals,
+                    static_cast<size_t>(std::ceil(backlog_ - lag_bound_)));
+  }
+  const size_t keep = arrivals - shed;
+  if (shed == 0) {
+    out->insert(out->end(), bucket_.begin(), bucket_.end());
+  } else if (keep > 0) {
+    // Stride sampling with a seeded rotation: survivor positions are
+    // spread evenly across the bucket, and the rotation keeps repeated
+    // overloads from always dropping the same arrival offsets. All
+    // survivors share one timestamp, so the output stays in ts order.
+    const size_t offset = rng_.NextBounded(arrivals);
+    size_t taken = 0;
+    for (size_t j = 0; j < arrivals && taken < keep; ++j) {
+      // Keep position j of the rotated bucket iff it opens a new stride.
+      if (j * keep / arrivals != (j + 1) * keep / arrivals) {
+        out->push_back(bucket_[(j + offset) % arrivals]);
+        ++taken;
+      }
+    }
+  }
+  backlog_ -= static_cast<double>(shed);
+  tuples_shed_ += shed;
+  bucket_.clear();
+}
+
 ShedResult ShedToWatermark(const Stream& stream, double watermark_per_ms,
                            double max_lag_ms, uint64_t seed) {
   ShedResult result;
@@ -68,63 +127,10 @@ ShedResult ShedToWatermark(const Stream& stream, double watermark_per_ms,
     result.stream = stream;
     return result;
   }
-  const double lag_bound = watermark_per_ms * std::max(0.0, max_lag_ms);
-  Rng rng(seed);
+  StreamShedder shedder(watermark_per_ms, max_lag_ms, seed);
   result.stream.tuples.reserve(stream.size());
-
-  double backlog = 0;
-  uint32_t last_ts = stream.tuples.front().ts;
-  size_t i = 0;
-  const size_t n = stream.size();
-  while (i < n) {
-    const uint32_t ts = stream.tuples[i].ts;
-    size_t end = i;
-    while (end < n && stream.tuples[end].ts == ts) ++end;
-    const size_t arrivals = end - i;
-
-    // Drain the backlog across the silent gap since the previous bucket.
-    backlog = std::max(0.0, backlog - watermark_per_ms *
-                                          static_cast<double>(ts - last_ts));
-    backlog += static_cast<double>(arrivals);
-    last_ts = ts;
-
-    size_t shed = 0;
-    if (backlog > lag_bound) {
-      // Lagging beyond the bound: thin this bucket back to it, but never
-      // touch tuples already admitted in earlier buckets.
-      shed = std::min(arrivals,
-                      static_cast<size_t>(std::ceil(backlog - lag_bound)));
-    }
-    const size_t keep = arrivals - shed;
-    if (shed == 0) {
-      for (size_t j = i; j < end; ++j) {
-        result.stream.tuples.push_back(stream.tuples[j]);
-      }
-    } else if (keep > 0) {
-      // Stride sampling with a seeded rotation: survivor positions are
-      // spread evenly across the bucket, and the rotation keeps repeated
-      // overloads from always dropping the same arrival offsets.
-      const size_t offset = rng.NextBounded(arrivals);
-      size_t taken = 0;
-      for (size_t j = 0; j < arrivals && taken < keep; ++j) {
-        const size_t pos = (j + offset) % arrivals;
-        // Keep position j of the rotated bucket iff it opens a new stride.
-        if (j * keep / arrivals != (j + 1) * keep / arrivals) {
-          result.stream.tuples.push_back(stream.tuples[i + pos]);
-          ++taken;
-        }
-      }
-    }
-    backlog -= static_cast<double>(shed);
-    result.tuples_shed += shed;
-    i = end;
-  }
-  // Stride sampling within a bucket can reorder survivors; arrival order
-  // within one timestamp is not semantically meaningful, but keep the
-  // non-decreasing-ts invariant callers rely on.
-  std::stable_sort(
-      result.stream.tuples.begin(), result.stream.tuples.end(),
-      [](Tuple a, Tuple b) { return a.ts < b.ts; });
+  shedder.Push(stream.tuples, UINT64_MAX, &result.stream.tuples);
+  result.tuples_shed = shedder.tuples_shed();
   result.shed_ratio = static_cast<double>(result.tuples_shed) /
                       static_cast<double>(result.tuples_in);
   return result;

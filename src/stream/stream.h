@@ -6,11 +6,13 @@
 #ifndef IAWJ_STREAM_STREAM_H_
 #define IAWJ_STREAM_STREAM_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/common/tuple.h"
 
 namespace iawj {
@@ -56,6 +58,42 @@ struct ShedResult {
   double shed_ratio = 0;    // tuples_shed / tuples_in (0 for empty input)
 };
 
+// The shedder fed batch by batch (watermark_per_ms > 0), input in ts
+// order. A bucket is shed once no later arrival can join it: a larger
+// timestamp arrived, or `upstream_frontier` (every later input has ts >= it;
+// UINT64_MAX once the input ended) passed it. Pushing any chunking of a
+// stream, the last push with UINT64_MAX, appends exactly ShedToWatermark's
+// survivors.
+class StreamShedder {
+ public:
+  StreamShedder(double watermark_per_ms, double max_lag_ms, uint64_t seed);
+
+  void Push(std::span<const Tuple> ordered, uint64_t upstream_frontier,
+            std::vector<Tuple>* out);
+  // Every tuple appended from now on has ts >= frontier(upstream_frontier).
+  uint64_t frontier(uint64_t upstream_frontier) const {
+    return bucket_.empty()
+               ? upstream_frontier
+               : std::min<uint64_t>(bucket_.front().ts, upstream_frontier);
+  }
+  size_t held() const { return bucket_.size(); }
+  uint64_t tuples_in() const { return tuples_in_; }
+  uint64_t tuples_shed() const { return tuples_shed_; }
+
+ private:
+  void ShedBucket(std::vector<Tuple>* out);
+
+  double watermark_per_ms_;
+  double lag_bound_;
+  Rng rng_;
+  double backlog_ = 0;
+  uint32_t last_ts_ = 0;
+  std::vector<Tuple> bucket_;  // the newest bucket, one timestamp
+  uint64_t tuples_in_ = 0;
+  uint64_t tuples_shed_ = 0;
+};
+
+// Whole-stream shedding: everything pushed into a StreamShedder at once.
 // watermark_per_ms <= 0 disables shedding (the stream is passed through).
 ShedResult ShedToWatermark(const Stream& stream, double watermark_per_ms,
                            double max_lag_ms, uint64_t seed);

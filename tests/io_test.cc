@@ -79,6 +79,40 @@ TEST(WorkloadIo, RejectsMalformedCsv) {
   std::remove(path.c_str());
 }
 
+// Values a uint32_t cast would silently wrap, and keys past the engine's
+// key domain, are refused with the path and line instead of loading as
+// some other tuple.
+TEST(WorkloadIo, CsvRejectsValuesOutsideTheTupleDomain) {
+  const std::string path = testing::TempDir() + "/iawj_io_domain.csv";
+  for (const char* row : {"1,-1", "1,4294967296", "4294967297,1",
+                          "1,2147483648"}) {
+    SCOPED_TRACE(row);
+    {
+      std::ofstream out(path);
+      out << "ts,key\n10,5\n" << row << "\n";
+    }
+    Stream s;
+    const Status status = io::LoadStreamCsv(path, &s);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_NE(status.message().find(path + ":3"), std::string::npos)
+        << status.ToString();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(WorkloadIo, BinaryRejectsKeysOutsideTheKeyDomain) {
+  const std::string path = testing::TempDir() + "/iawj_io_domain.bin";
+  Stream stream = RandomStream(100, 4);
+  stream.tuples[42].key = kKeyDomainLimit;
+  ASSERT_TRUE(io::SaveStream(stream, path).ok());
+  Stream loaded;
+  const Status status = io::LoadStream(path, &loaded);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find(path), std::string::npos);
+  std::remove(path.c_str());
+}
+
 TEST(WorkloadIo, LoaderSortsExternallyProducedFiles) {
   const std::string path = testing::TempDir() + "/iawj_io_unsorted.csv";
   {

@@ -8,6 +8,7 @@
 #include "src/join/adaptive.h"
 #include "src/join/reference.h"
 #include "src/join/window_pipeline.h"
+#include "src/stream/disorder.h"
 
 namespace iawj {
 namespace {
@@ -170,6 +171,73 @@ TEST(WindowPipeline, SessionWithoutGapsIsOneWindow) {
   EXPECT_EQ(result.windows.size(), 1u);
   EXPECT_EQ(result.total_matches,
             NestedLoopJoin(r.view(), s.view()).matches);
+}
+
+// Sliding and session windows over arrivals shuffled within the disorder
+// slack: the reorder buffer restores the exact order, so every window —
+// index, start, inputs, matches, checksum — equals the ordered run's.
+TEST(WindowPipeline, ShuffledSlidingAndSessionWindowsMatchOrderedRun) {
+  const Stream r = MultiWindowStream(3000, 600, 50, 21);
+  const Stream s = MultiWindowStream(3000, 600, 50, 22);
+  // Sessions need silences: drop everything in [200, 300) and [420, 470).
+  const auto gapped = [](const Stream& in) {
+    std::vector<Tuple> kept;
+    for (const Tuple& t : in.tuples) {
+      if ((t.ts < 200 || t.ts >= 300) && (t.ts < 420 || t.ts >= 470)) {
+        kept.push_back(t);
+      }
+    }
+    return Stream{std::move(kept)};
+  };
+  const Stream gr = gapped(r), gs = gapped(s);
+  const Stream shuffled_r = PermuteWithinSlack(gr, 8, 5);
+  const Stream shuffled_s = PermuteWithinSlack(gs, 8, 6);
+
+  JoinSpec ordered;
+  ordered.num_threads = 2;
+  ordered.window_ms = 100;
+  ordered.disorder_slack_ms = -1;
+  ordered.allowed_lateness_ms = -1;
+  ordered.shed_watermark_per_ms = -1;
+  JoinSpec ingesting = ordered;
+  ingesting.disorder_slack_ms = 8;
+
+  const auto expect_same = [](const PipelineResult& got,
+                              const PipelineResult& want) {
+    ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+    ASSERT_TRUE(want.status.ok()) << want.status.ToString();
+    ASSERT_EQ(got.windows.size(), want.windows.size());
+    for (size_t i = 0; i < got.windows.size(); ++i) {
+      SCOPED_TRACE("window " + std::to_string(i));
+      EXPECT_EQ(got.windows[i].window_index, want.windows[i].window_index);
+      EXPECT_EQ(got.windows[i].window_start_ms,
+                want.windows[i].window_start_ms);
+      EXPECT_EQ(got.windows[i].result.inputs, want.windows[i].result.inputs);
+      EXPECT_EQ(got.windows[i].result.matches,
+                want.windows[i].result.matches);
+      EXPECT_EQ(got.windows[i].result.checksum,
+                want.windows[i].result.checksum);
+    }
+    EXPECT_EQ(got.ingest.late_total, 0u);
+  };
+  {
+    SCOPED_TRACE("sliding");
+    const PipelineResult want =
+        RunSlidingWindows(AlgorithmId::kNpj, gr, gs, ordered, 40);
+    EXPECT_GT(want.windows.size(), 10u);
+    expect_same(RunSlidingWindows(AlgorithmId::kNpj, shuffled_r, shuffled_s,
+                                  ingesting, 40),
+                want);
+  }
+  {
+    SCOPED_TRACE("session");
+    const PipelineResult want =
+        RunSessionWindows(AlgorithmId::kMway, gr, gs, ordered, 30);
+    EXPECT_EQ(want.windows.size(), 3u);
+    expect_same(RunSessionWindows(AlgorithmId::kMway, shuffled_r, shuffled_s,
+                                  ingesting, 30),
+                want);
+  }
 }
 
 TEST(Adaptive, PicksEagerForSlowStreamsAndSortForHeavyDup) {

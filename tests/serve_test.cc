@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <fstream>
@@ -27,6 +28,7 @@
 #include "src/serve/pool.h"
 #include "src/serve/protocol.h"
 #include "src/serve/server.h"
+#include "src/stream/disorder.h"
 #include "tools/serve_flags.h"
 
 namespace iawj {
@@ -61,17 +63,31 @@ JoinSpec TestSpec(uint32_t window_ms = 4) {
 }
 
 // Streams the workload in `chunks` timeline slices, ends, and returns the
-// first non-ok status (or Ok).
+// first non-ok status (or Ok). Arrival-order (unsorted) streams have no
+// timeline to slice, so `by_position` cuts them into equal runs instead.
 Status DriveTenant(const std::string& socket, const std::string& name,
                    AlgorithmId id, const JoinSpec& spec,
                    const MicroWorkload& w, serve::ServeClient* client,
-                   int chunks = 3) {
+                   int chunks = 3, bool by_position = false) {
   serve::TenantSpec tenant;
   tenant.name = name;
   tenant.algo = id;
   tenant.spec = spec;
   if (Status s = client->Connect(socket); !s.ok()) return s;
   if (Status s = client->Hello(tenant); !s.ok()) return s;
+  if (by_position) {
+    const auto part = [chunks](const Stream& stream, int k) {
+      const size_t n = stream.size();
+      return std::span<const Tuple>(stream.tuples)
+          .subspan(n * k / chunks, n * (k + 1) / chunks - n * k / chunks);
+    };
+    for (int k = 0; k < chunks && !client->drained(); ++k) {
+      if (Status s = client->SendBatch(part(w.r, k), part(w.s, k)); !s.ok()) {
+        return s;
+      }
+    }
+    return client->End();
+  }
   const uint64_t max_ts = std::max<uint64_t>(w.r.MaxTs(), w.s.MaxTs());
   const uint64_t step = max_ts / static_cast<uint64_t>(chunks) + 1;
   size_t ir = 0, is = 0;
@@ -135,6 +151,28 @@ TEST(ServeProtocol, WindowChecksumSurvivesFullUint64) {
   EXPECT_EQ(back.worker, 2);
 }
 
+// A cast to uint32_t would turn 5e9 into 4294967295, 1.5 into 1 and 2^32
+// into 4294967295; every field must be an integer in [0, 2^32 - 1].
+TEST(ServeProtocol, BatchFieldsOutsideUint32AreRefused) {
+  for (const char* frame : {R"({"op":"batch","r":[[5e9,7]]})",
+                            R"({"op":"batch","r":[[1.5,7]]})",
+                            R"({"op":"batch","s":[[1,4294967296]]})"}) {
+    SCOPED_TRACE(frame);
+    json::Value message;
+    ASSERT_TRUE(json::Parse(frame, &message).ok());
+    std::vector<Tuple> r, s;
+    EXPECT_EQ(serve::ParseBatch(message, &r, &s).code(),
+              StatusCode::kInvalidArgument);
+  }
+  json::Value message;
+  ASSERT_TRUE(
+      json::Parse(R"({"op":"batch","r":[[4294967295,4294967295]]})", &message)
+          .ok());
+  std::vector<Tuple> r, s;
+  ASSERT_TRUE(serve::ParseBatch(message, &r, &s).ok());
+  EXPECT_EQ(r, (std::vector<Tuple>{{4294967295u, 4294967295u}}));
+}
+
 TEST(ServeProtocol, HelloRoundTripsEveryAnswerAffectingKnob) {
   serve::TenantSpec tenant;
   tenant.name = "rt";
@@ -164,23 +202,30 @@ TEST(ServeProtocol, HelloRoundTripsEveryAnswerAffectingKnob) {
 
 // N tenants running concurrently through one daemon must each be
 // byte-identical — window for window — to the same spec run sequentially
-// through the offline pipeline. This is the tentpole invariant.
+// through the offline pipeline. This is the tentpole invariant. The last
+// two rows cover the served ingest and shed paths: arrivals permuted within
+// a disorder slack, and a shed watermark below the arrival rate.
 TEST(ServeDifferential, ConcurrentTenantsMatchOfflineByteExact) {
   const struct {
     const char* name;
     AlgorithmId id;
     uint64_t seed;
     uint32_t window_ms;
+    uint32_t slack_ms;     // > 0: PermuteWithinSlack arrivals + that slack
+    double shed_per_ms;    // > 0: shed watermark (arrivals run at 300/ms)
   } kTenants[] = {
-      {"alpha", AlgorithmId::kNpj, 11, 3},
-      {"bravo", AlgorithmId::kPrj, 22, 4},
-      {"charlie", AlgorithmId::kShjJm, 33, 5},
+      {"alpha", AlgorithmId::kNpj, 11, 3, 0, 0},
+      {"bravo", AlgorithmId::kPrj, 22, 4, 0, 0},
+      {"charlie", AlgorithmId::kShjJm, 33, 5, 0, 0},
+      {"delta", AlgorithmId::kNpj, 44, 3, 3, 0},
+      {"echo", AlgorithmId::kMway, 55, 4, 0, 120},
   };
+  constexpr size_t kCount = std::size(kTenants);
 
   serve::ServeOptions options;
   options.socket_path = TestSocketPath("diff");
   options.pool_threads = 2;
-  options.max_tenants = 3;
+  options.max_tenants = kCount;
   serve::ServeServer server(options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -190,26 +235,41 @@ TEST(ServeDifferential, ConcurrentTenantsMatchOfflineByteExact) {
   for (const auto& t : kTenants) {
     workloads.push_back(TestWorkload(t.seed));
     specs.push_back(TestSpec(t.window_ms));
+    if (t.slack_ms > 0) {
+      MicroWorkload& w = workloads.back();
+      w.r = PermuteWithinSlack(w.r, t.slack_ms, t.seed + 1);
+      w.s = PermuteWithinSlack(w.s, t.slack_ms, t.seed + 2);
+      specs.back().disorder_slack_ms = t.slack_ms;
+    }
+    if (t.shed_per_ms > 0) specs.back().shed_watermark_per_ms = t.shed_per_ms;
     offline.push_back(RunTumblingWindows(t.id, workloads.back().r,
                                          workloads.back().s, specs.back()));
     ASSERT_TRUE(offline.back().status.ok());
     ASSERT_GT(offline.back().windows.size(), 1u);
+    if (t.slack_ms > 0) {
+      ASSERT_GT(offline.back().ingest.reordered, 0u) << t.name;
+    }
+    if (t.shed_per_ms > 0) {
+      ASSERT_GT(offline.back().recovery.tuples_shed, 0u) << t.name;
+    }
   }
 
-  std::vector<serve::ServeClient> clients(3);
-  std::vector<Status> statuses(3);
+  std::vector<serve::ServeClient> clients(kCount);
+  std::vector<Status> statuses(kCount);
   std::vector<std::thread> threads;
-  for (size_t i = 0; i < 3; ++i) {
+  for (size_t i = 0; i < kCount; ++i) {
     threads.emplace_back([&, i] {
       statuses[i] = DriveTenant(options.socket_path, kTenants[i].name,
                                 kTenants[i].id, specs[i], workloads[i],
-                                &clients[i]);
+                                &clients[i], /*chunks=*/3,
+                                /*by_position=*/kTenants[i].slack_ms > 0);
     });
   }
   for (auto& t : threads) t.join();
   server.Shutdown();
 
-  for (size_t i = 0; i < 3; ++i) {
+  uint64_t offline_windows = 0;
+  for (size_t i = 0; i < kCount; ++i) {
     SCOPED_TRACE(kTenants[i].name);
     ASSERT_TRUE(statuses[i].ok()) << statuses[i].ToString();
     const auto& windows = clients[i].windows();
@@ -227,11 +287,10 @@ TEST(ServeDifferential, ConcurrentTenantsMatchOfflineByteExact) {
     EXPECT_EQ(clients[i].totals().matches, offline[i].total_matches);
     EXPECT_EQ(clients[i].totals().checksum, offline[i].total_checksum);
     EXPECT_EQ(clients[i].totals().inputs, offline[i].total_inputs);
+    offline_windows += offline[i].windows.size();
   }
-  EXPECT_EQ(server.stats().tenants_admitted, 3u);
-  EXPECT_EQ(server.stats().windows_done,
-            offline[0].windows.size() + offline[1].windows.size() +
-                offline[2].windows.size());
+  EXPECT_EQ(server.stats().tenants_admitted, kCount);
+  EXPECT_EQ(server.stats().windows_done, offline_windows);
 }
 
 // --- Typed admission refusals --------------------------------------------
@@ -300,6 +359,124 @@ TEST(ServeAdmission, OutOfOrderBatchWithoutIngestPolicyIsInvalidArgument) {
   // tuple still seals.
   ASSERT_TRUE(client.End().ok());
   EXPECT_EQ(client.totals().inputs, 1u);
+  server.Shutdown();
+  EXPECT_EQ(server.stats().batches_rejected, 1u);
+}
+
+// --max-buffer bounds the tuples a tenant's operator holds — unsealed
+// tuples plus the reorder buffer — not every tuple the tenant ever sent: a
+// long in-order tenant whose backlog stays near 1,200 tuples is never
+// refused under a 5,000-tuple cap, with or without a disorder slack.
+TEST(ServeAdmission, BufferBoundCountsOnlyUnsealedTuples) {
+  MicroSpec micro;
+  micro.rate_r = micro.rate_s = 10;
+  micro.window_ms = 1000;  // a 1 s stream: 20,000 tuples in all
+  micro.seed = 9;
+  const MicroWorkload w = GenerateMicro(micro);
+  for (const uint32_t slack : {0u, 20u}) {
+    SCOPED_TRACE("disorder_slack_ms " + std::to_string(slack));
+    serve::ServeOptions options;
+    options.socket_path = TestSocketPath("bound" + std::to_string(slack));
+    options.pool_threads = 1;
+    options.max_buffer_tuples = 5000;
+    serve::ServeServer server(options);
+    ASSERT_TRUE(server.Start().ok());
+
+    JoinSpec spec = TestSpec(50);
+    spec.num_threads = 1;
+    Stream sent_r = w.r, sent_s = w.s;
+    if (slack > 0) {
+      spec.disorder_slack_ms = slack;
+      sent_r = PermuteWithinSlack(w.r, slack, 1);
+      sent_s = PermuteWithinSlack(w.s, slack, 2);
+    }
+    const PipelineResult offline =
+        RunTumblingWindows(AlgorithmId::kNpj, sent_r, sent_s, spec);
+    ASSERT_TRUE(offline.status.ok());
+    ASSERT_EQ(offline.windows.size(), 20u);
+
+    serve::TenantSpec tenant;
+    tenant.name = "long";
+    tenant.algo = AlgorithmId::kNpj;
+    tenant.spec = spec;
+    serve::ServeClient client;
+    ASSERT_TRUE(client.Connect(options.socket_path).ok());
+    ASSERT_TRUE(client.Hello(tenant).ok());
+    // 10 ms batches: by timeline in order, by position (the same 101
+    // batches' worth of tuples) when permuted.
+    constexpr size_t kBatches = 101;
+    for (size_t k = 0; k < kBatches; ++k) {
+      const auto part = [k](const Stream& stream, bool ordered) {
+        const auto& t = stream.tuples;
+        size_t lo = t.size() * k / kBatches, hi = t.size() * (k + 1) / kBatches;
+        if (ordered) {
+          const auto at = [&t](uint64_t ts) {
+            return static_cast<size_t>(
+                std::lower_bound(t.begin(), t.end(), ts,
+                                 [](const Tuple& x, uint64_t v) {
+                                   return x.ts < v;
+                                 }) -
+                t.begin());
+          };
+          lo = at(k * 10);
+          hi = k + 1 == kBatches ? t.size() : at((k + 1) * 10);
+        }
+        return std::span<const Tuple>(t).subspan(lo, hi - lo);
+      };
+      const Status sent = client.SendBatch(part(sent_r, slack == 0),
+                                           part(sent_s, slack == 0));
+      ASSERT_TRUE(sent.ok()) << "batch " << k << ": " << sent.ToString();
+    }
+    ASSERT_TRUE(client.End().ok());
+    server.Shutdown();
+    EXPECT_EQ(server.stats().batches_rejected, 0u);
+
+    const auto& windows = client.windows();
+    ASSERT_EQ(windows.size(), offline.windows.size());
+    for (size_t wi = 0; wi < windows.size(); ++wi) {
+      SCOPED_TRACE("window " + std::to_string(wi));
+      EXPECT_EQ(windows[wi].window_start_ms,
+                offline.windows[wi].window_start_ms);
+      EXPECT_EQ(windows[wi].inputs, offline.windows[wi].result.inputs);
+      EXPECT_EQ(windows[wi].matches, offline.windows[wi].result.matches);
+      EXPECT_EQ(windows[wi].checksum, offline.windows[wi].result.checksum);
+    }
+  }
+}
+
+// A tenant without an ingest policy is refused a key outside the engine's
+// key domain (the sort joins and linear-probe tables assume keys < 2^31);
+// the refusal is per batch and the connection stays usable.
+TEST(ServeAdmission, KeyOutsideDomainWithoutIngestPolicyIsInvalidArgument) {
+  serve::ServeOptions options;
+  options.socket_path = TestSocketPath("keydomain");
+  options.pool_threads = 1;
+  serve::ServeServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+
+  serve::TenantSpec tenant;
+  tenant.name = "strict";
+  tenant.algo = AlgorithmId::kMway;
+  tenant.spec = TestSpec();
+  serve::ServeClient client;
+  ASSERT_TRUE(client.Connect(options.socket_path).ok());
+  ASSERT_TRUE(client.Hello(tenant).ok());
+
+  const Tuple bad[] = {{1, kKeyDomainLimit}};
+  const Status refused = client.SendBatch(std::span<const Tuple>(bad, 1),
+                                          std::span<const Tuple>());
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument)
+      << refused.ToString();
+
+  const Tuple r[] = {{2, 7}};
+  const Tuple s[] = {{3, 7}};
+  ASSERT_TRUE(client
+                  .SendBatch(std::span<const Tuple>(r, 1),
+                             std::span<const Tuple>(s, 1))
+                  .ok());
+  ASSERT_TRUE(client.End().ok());
+  EXPECT_EQ(client.totals().inputs, 2u);
+  EXPECT_EQ(client.totals().matches, 1u);
   server.Shutdown();
   EXPECT_EQ(server.stats().batches_rejected, 1u);
 }

@@ -32,7 +32,7 @@ inline constexpr FlagInfo kFlags[] = {
      "per-tenant in-flight window bound; submitters block at it "
      "($IAWJ_SERVE_MAX_INFLIGHT, default 4)"},
     {"max-buffer", "<tuples>",
-     "per-tenant retained-arrival bound; batches past it are refused or "
+     "per-tenant bound on unsealed tuples; batches past it are refused or "
      "shed ($IAWJ_SERVE_MAX_BUFFER, default 4194304)"},
     {"mem-share", "<frac>",
      "admission: fraction of $IAWJ_MEM_BUDGET one window may claim "
