@@ -2,12 +2,16 @@
 
 #include <errno.h>
 #include <poll.h>
+#include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 namespace iawj::serve {
@@ -19,6 +23,11 @@ namespace {
 // versa) would silently break the serve-vs-offline differential.
 constexpr char kKeyTenant[] = "tenant";
 constexpr char kKeyAlgo[] = "algo";
+
+// The canonical batch frame around its two tuple arrays, shared by
+// BatchJson and ScanBatchFrame so the writer and the fast lane cannot drift.
+constexpr std::string_view kBatchHead = R"({"op":"batch","r":)";
+constexpr std::string_view kBatchMid = R"(,"s":)";
 
 double NumberOr(const json::Value& msg, const char* key, double fallback) {
   const json::Value* v = msg.Find(key);
@@ -37,17 +46,111 @@ std::string StringOr(const json::Value& msg, const char* key,
   return v != nullptr && v->is_string() ? v->string : fallback;
 }
 
-// Checksums are full 64-bit Mix64 values; a JSON number round-trips through
-// a double and silently loses everything past 2^53, so the wire carries
-// them as decimal strings. Accepts a number too (older/looser senders).
-uint64_t U64Or(const json::Value& msg, const char* key, uint64_t fallback) {
+// The largest integer every double below it represents exactly: a JSON
+// number past it may already have been rounded by the parser.
+constexpr double kMaxExactInteger = 9007199254740991.0;  // 2^53 - 1
+
+// Reads an integer field into *out (left alone when absent). Like
+// ParseBatch's fields, it must be an integer the field's type holds
+// exactly: a cast would turn 2.5 into 2, -1 into SIZE_MAX and 2^32 + 1
+// into 2^32 - 1.
+template <typename T>
+Status IntegerField(const json::Value& msg, const char* key, T* out) {
   const json::Value* v = msg.Find(key);
-  if (v == nullptr) return fallback;
-  if (v->is_number()) return static_cast<uint64_t>(v->number);
-  if (!v->is_string() || v->string.empty()) return fallback;
-  char* end = nullptr;
-  const uint64_t parsed = std::strtoull(v->string.c_str(), &end, 10);
-  return end != nullptr && *end == '\0' ? parsed : fallback;
+  if (v == nullptr) return Status::Ok();
+  const double lo =
+      std::max(static_cast<double>(std::numeric_limits<T>::min()),
+               -kMaxExactInteger);
+  const double hi = std::min(
+      static_cast<double>(std::numeric_limits<T>::max()), kMaxExactInteger);
+  if (!v->is_number() || v->number < lo || v->number > hi ||
+      v->number != std::floor(v->number)) {
+    return Status::InvalidArgument(
+        std::string("field '") + key + "' must be an integer in [" +
+        std::to_string(static_cast<int64_t>(lo)) + ", " +
+        std::to_string(static_cast<int64_t>(hi)) + "]");
+  }
+  *out = static_cast<T>(v->number);
+  return Status::Ok();
+}
+
+// Checksums and the supervisor seed are full 64-bit values; a JSON number
+// round-trips through a double and loses everything past 2^53, so the wire
+// carries them as decimal strings. A number still reads while it is exact.
+Status U64Field(const json::Value& msg, const char* key, uint64_t* out) {
+  const json::Value* v = msg.Find(key);
+  if (v == nullptr || !v->is_string()) return IntegerField(msg, key, out);
+  const char* first = v->string.data();
+  const char* last = first + v->string.size();
+  uint64_t parsed = 0;
+  const auto [end, err] = std::from_chars(first, last, parsed);
+  if (first == last || err != std::errc() || end != last) {
+    return Status::InvalidArgument(std::string("field '") + key +
+                                   "' must be a decimal string in [0, 2^64)");
+  }
+  *out = parsed;
+  return Status::Ok();
+}
+
+// The widest tuple BatchJson writes, with its separating comma.
+constexpr size_t kMaxTupleBytes = sizeof("[4294967295,4294967295],") - 1;
+
+// Writes `tuples` as [[ts,key],...] at `p`, which has room for
+// kMaxTupleBytes per tuple plus the brackets; returns the new end.
+char* WriteTuples(char* p, std::span<const Tuple> tuples) {
+  *p++ = '[';
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    if (i > 0) *p++ = ',';
+    *p++ = '[';
+    p = std::to_chars(p, p + 10, tuples[i].ts).ptr;
+    *p++ = ',';
+    p = std::to_chars(p, p + 10, tuples[i].key).ptr;
+    *p++ = ']';
+  }
+  *p++ = ']';
+  return p;
+}
+
+// Scans one canonical number, 0 or [1-9][0-9]{0,9} at most 2^32 - 1, that
+// must be followed by `next`. Leading zeros, signs, fractions, exponents
+// and 11-digit numbers all fail on that following byte.
+bool ScanU32(const char*& p, const char* end, char next, uint32_t* out) {
+  if (p == end || *p < '0' || *p > '9') return false;
+  uint64_t value = static_cast<uint64_t>(*p++ - '0');
+  if (value != 0) {
+    for (int digits = 1; digits < 10 && p != end && *p >= '0' && *p <= '9';
+         ++digits) {
+      value = value * 10 + static_cast<uint64_t>(*p++ - '0');
+    }
+  }
+  if (value > std::numeric_limits<uint32_t>::max() || p == end ||
+      *p != next) {
+    return false;
+  }
+  ++p;
+  *out = static_cast<uint32_t>(value);
+  return true;
+}
+
+// Scans one canonical tuple array, [] or [[ts,key](,[ts,key])*].
+bool ScanTuples(const char*& p, const char* end, std::vector<Tuple>* out) {
+  if (p == end || *p++ != '[') return false;
+  if (p != end && *p == ']') {
+    ++p;
+    return true;
+  }
+  for (;;) {
+    Tuple t;
+    if (p == end || *p++ != '[' || !ScanU32(p, end, ',', &t.ts) ||
+        !ScanU32(p, end, ']', &t.key)) {
+      return false;
+    }
+    out->push_back(t);
+    if (p == end) return false;
+    const char c = *p++;
+    if (c == ']') return true;
+    if (c != ',') return false;
+  }
 }
 
 }  // namespace
@@ -121,7 +224,7 @@ std::string TenantSpec::ToHelloJson() const {
   w.Field("fallback", spec.fallback_enabled);
   w.Field("skip_windows", spec.skip_failed_windows);
   w.Field("shed_watermark_per_ms", spec.shed_watermark_per_ms);
-  w.Field("supervisor_seed", uint64_t{spec.supervisor_seed});
+  w.Field("supervisor_seed", std::to_string(spec.supervisor_seed));
   w.Field("disorder_slack_ms", spec.disorder_slack_ms);
   w.Field("allowed_lateness_ms", spec.allowed_lateness_ms);
   w.Field("ingest_dedup", spec.ingest_dedup);
@@ -138,17 +241,19 @@ Status TenantSpec::FromHello(const json::Value& message, TenantSpec* out) {
                                    "'");
   }
   JoinSpec& spec = tenant.spec;
-  spec.window_ms =
-      static_cast<uint32_t>(NumberOr(message, "window_ms", spec.window_ms));
-  spec.num_threads =
-      static_cast<int>(NumberOr(message, "threads", spec.num_threads));
-  spec.radix_bits =
-      static_cast<int>(NumberOr(message, "radix_bits", spec.radix_bits));
-  spec.radix_passes =
-      static_cast<int>(NumberOr(message, "radix_passes", spec.radix_passes));
+  for (const Status& status :
+       {IntegerField(message, "window_ms", &spec.window_ms),
+        IntegerField(message, "threads", &spec.num_threads),
+        IntegerField(message, "radix_bits", &spec.radix_bits),
+        IntegerField(message, "radix_passes", &spec.radix_passes),
+        IntegerField(message, "jb_group_size", &spec.jb_group_size),
+        IntegerField(message, "morsel_size", &spec.morsel_size),
+        IntegerField(message, "deadline_ms", &spec.deadline_ms),
+        IntegerField(message, "retry", &spec.retry_max_attempts),
+        U64Field(message, "supervisor_seed", &spec.supervisor_seed)}) {
+    if (!status.ok()) return status;
+  }
   spec.pmj_delta = NumberOr(message, "pmj_delta", spec.pmj_delta);
-  spec.jb_group_size =
-      static_cast<int>(NumberOr(message, "jb_group_size", spec.jb_group_size));
   if (const std::string kernels = StringOr(message, "kernels", "auto");
       !ParseKernelMode(kernels, &spec.kernels)) {
     return Status::InvalidArgument("hello names unknown kernels mode '" +
@@ -159,12 +264,6 @@ Status TenantSpec::FromHello(const json::Value& message, TenantSpec* out) {
     return Status::InvalidArgument("hello names unknown scheduler mode '" +
                                    scheduler + "'");
   }
-  spec.morsel_size =
-      static_cast<size_t>(NumberOr(message, "morsel_size", 0));
-  spec.deadline_ms =
-      static_cast<uint32_t>(NumberOr(message, "deadline_ms", 0));
-  spec.retry_max_attempts =
-      static_cast<int>(NumberOr(message, "retry", spec.retry_max_attempts));
   spec.retry_backoff_ms =
       NumberOr(message, "retry_backoff_ms", spec.retry_backoff_ms);
   spec.fallback_enabled =
@@ -173,8 +272,6 @@ Status TenantSpec::FromHello(const json::Value& message, TenantSpec* out) {
       BoolOr(message, "skip_windows", spec.skip_failed_windows);
   spec.shed_watermark_per_ms =
       NumberOr(message, "shed_watermark_per_ms", spec.shed_watermark_per_ms);
-  spec.supervisor_seed = static_cast<uint64_t>(
-      NumberOr(message, "supervisor_seed", 42));
   spec.disorder_slack_ms =
       NumberOr(message, "disorder_slack_ms", spec.disorder_slack_ms);
   spec.allowed_lateness_ms =
@@ -202,21 +299,17 @@ std::string ErrorJson(const Status& status) {
 }
 
 std::string BatchJson(std::span<const Tuple> r, std::span<const Tuple> s) {
-  json::Writer w;
-  w.BeginObject();
-  w.Field("op", "batch");
-  const auto write_stream = [&w](const char* key,
-                                 std::span<const Tuple> tuples) {
-    w.Key(key).BeginArray();
-    for (const Tuple& t : tuples) {
-      w.BeginArray().Uint(t.ts).Uint(t.key).EndArray();
-    }
-    w.EndArray();
-  };
-  write_stream("r", r);
-  write_stream("s", s);
-  w.EndObject();
-  return w.str();
+  // Sized for the widest tuples, then trimmed to what was written.
+  std::string out(kBatchHead.size() + kBatchMid.size() + 5 +
+                      (r.size() + s.size()) * kMaxTupleBytes,
+                  '\0');
+  char* p = std::copy(kBatchHead.begin(), kBatchHead.end(), out.data());
+  p = WriteTuples(p, r);
+  p = std::copy(kBatchMid.begin(), kBatchMid.end(), p);
+  p = WriteTuples(p, s);
+  *p++ = '}';
+  out.resize(static_cast<size_t>(p - out.data()));
+  return out;
 }
 
 std::string EndJson() {
@@ -298,6 +391,54 @@ Status ParseBatch(const json::Value& message, std::vector<Tuple>* r,
   return parse_stream("s", s);
 }
 
+bool ScanBatchFrame(std::string_view frame, std::vector<Tuple>* r,
+                    std::vector<Tuple>* s) {
+  r->clear();
+  s->clear();
+  if (!frame.ends_with('}')) return false;
+  const char* p = frame.data();
+  const char* const end = p + frame.size() - 1;  // the closing '}'
+  const auto consume = [&p, end](std::string_view token) {
+    if (static_cast<size_t>(end - p) < token.size() ||
+        !std::equal(token.begin(), token.end(), p)) {
+      return false;
+    }
+    p += token.size();
+    return true;
+  };
+  if (consume(kBatchHead) && ScanTuples(p, end, r) && consume(kBatchMid) &&
+      ScanTuples(p, end, s) && p == end) {
+    return true;
+  }
+  r->clear();
+  s->clear();
+  return false;
+}
+
+Status TenantFrame::Decode(std::string_view text) {
+  message_ = json::Value();
+  scanned_ = ScanBatchFrame(text, &r_, &s_);
+  if (scanned_) {
+    op_ = "batch";
+    return Status::Ok();
+  }
+  op_.clear();
+  if (Status parsed = json::Parse(text, &message_); !parsed.ok()) {
+    return parsed;
+  }
+  if (const json::Value* op = message_.Find("op")) op_ = op->string;
+  return Status::Ok();
+}
+
+Status TenantFrame::TakeBatch(std::vector<Tuple>* r, std::vector<Tuple>* s) {
+  if (!scanned_) return ParseBatch(message_, r, s);
+  *r = std::move(r_);
+  *s = std::move(s_);
+  r_.clear();
+  s_.clear();
+  return Status::Ok();
+}
+
 Status ParseWindow(const json::Value& message, WindowResult* out) {
   WindowResult window;
   window.window_index =
@@ -309,7 +450,10 @@ Status ParseWindow(const json::Value& message, WindowResult* out) {
   window.status_message = StringOr(message, "message", "");
   window.inputs = static_cast<uint64_t>(NumberOr(message, "inputs", 0));
   window.matches = static_cast<uint64_t>(NumberOr(message, "matches", 0));
-  window.checksum = U64Or(message, "checksum", 0);
+  if (const Status status = U64Field(message, "checksum", &window.checksum);
+      !status.ok()) {
+    return status;
+  }
   window.recovered = BoolOr(message, "recovered", false);
   window.degraded = BoolOr(message, "degraded", false);
   window.wait_ms = NumberOr(message, "wait_ms", 0);
@@ -332,18 +476,31 @@ Status ParseError(const json::Value& message) {
 }
 
 Status WriteFrame(int fd, const std::string& json) {
-  std::string framed = json;
-  framed.push_back('\n');
-  size_t written = 0;
-  while (written < framed.size()) {
-    const ssize_t n =
-        ::write(fd, framed.data() + written, framed.size() - written);
+  char newline = '\n';
+  iovec parts[2] = {{const_cast<char*>(json.data()), json.size()},
+                    {&newline, 1}};
+  msghdr message{};
+  message.msg_iov = parts;
+  message.msg_iovlen = 2;
+  while (message.msg_iovlen > 0) {
+    const ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::FailedPrecondition(std::string("socket write failed: ") +
                                         std::strerror(errno));
     }
-    written += static_cast<size_t>(n);
+    // Step past what was sent; a short send resumes mid-part.
+    for (size_t sent = static_cast<size_t>(n); message.msg_iovlen > 0;) {
+      iovec& part = message.msg_iov[0];
+      if (sent < part.iov_len) {
+        part.iov_base = static_cast<char*>(part.iov_base) + sent;
+        part.iov_len -= sent;
+        break;
+      }
+      sent -= part.iov_len;
+      ++message.msg_iov;
+      --message.msg_iovlen;
+    }
   }
   return Status::Ok();
 }
@@ -353,11 +510,15 @@ Status FrameReader::ReadFrame(std::string* frame, bool* eof,
   *eof = false;
   if (timed_out != nullptr) *timed_out = false;
   for (;;) {
-    if (const size_t nl = buffer_.find('\n'); nl != std::string::npos) {
+    // Bytes before searched_ were searched after an earlier read.
+    if (const size_t nl = buffer_.find('\n', searched_);
+        nl != std::string::npos) {
       frame->assign(buffer_, 0, nl);
       buffer_.erase(0, nl + 1);
+      searched_ = 0;
       return Status::Ok();
     }
+    searched_ = buffer_.size();
     if (buffer_.size() > max_frame_bytes_) {
       return Status::InvalidArgument(
           "frame exceeds the " + std::to_string(max_frame_bytes_) +
@@ -375,12 +536,19 @@ Status FrameReader::ReadFrame(std::string* frame, bool* eof,
         return Status::Ok();
       }
     }
-    char chunk[4096];
-    const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
+    // Read straight into the buffer, never past one byte over the limit:
+    // that byte is what tells a frame at the limit from one beyond it.
+    const size_t held = buffer_.size();
+    const size_t room = max_frame_bytes_ - held;
+    const size_t want = room < kReadBytes ? room + 1 : kReadBytes;
+    buffer_.resize(held + want);
+    const ssize_t n = ::read(fd_, buffer_.data() + held, want);
+    const int read_errno = errno;
+    buffer_.resize(held + static_cast<size_t>(std::max<ssize_t>(n, 0)));
     if (n < 0) {
-      if (errno == EINTR) continue;
+      if (read_errno == EINTR) continue;
       return Status::FailedPrecondition(std::string("socket read failed: ") +
-                                        std::strerror(errno));
+                                        std::strerror(read_errno));
     }
     if (n == 0) {
       // A half frame at EOF is a torn peer, not an orderly close.
@@ -390,7 +558,6 @@ Status FrameReader::ReadFrame(std::string* frame, bool* eof,
       *eof = true;
       return Status::Ok();
     }
-    buffer_.append(chunk, static_cast<size_t>(n));
   }
 }
 

@@ -21,15 +21,35 @@
 // The hello carries the tenant spec: the algorithm plus every JoinSpec knob
 // that affects the answer or its execution, so a tenant window run inside
 // the daemon is byte-identical (matches and checksum) to the same spec run
-// offline through iawj_cli. Errors carry the engine's stable status-code
-// names ("resource_exhausted", ...), so clients recover typed Statuses and
-// the CLI maps them onto its usual exit codes.
+// offline through iawj_cli. Integer knobs must be integers the knob holds
+// exactly (invalid_argument otherwise); supervisor_seed travels as a decimal
+// string, like checksums, because a JSON number stops being exact past 2^53.
+// Errors carry the engine's stable status-code names ("resource_exhausted",
+// ...), so clients recover typed Statuses and the CLI maps them onto its
+// usual exit codes.
+//
+// Batch frames have a canonical fast lane. BatchJson writes one exact shape
+// (no whitespace, keys op/r/s in that order, every number 0 or
+// [1-9][0-9]{0,9}), and the daemon scans frames of that shape straight into
+// tuples (ScanBatchFrame) instead of building a json::Value per tuple and
+// per number. Any other frame (whitespace, another key order, one-sided
+// batches, 1e3, ...) is still valid wire input: it falls back to json::Parse
+// and ParseBatch, the same tuples and the same refusals, only ~20x slower
+// per tuple, and the daemon counts it in serve.batches_json_fallback. The
+// scan accepts only frames on which that tree parse yields the same tuples,
+// so the two lanes cannot disagree.
+//
+// Frames go out with one sendmsg(MSG_NOSIGNAL) each: a peer that hangs up
+// before its reply costs the writer a typed failed_precondition, never a
+// SIGPIPE that would take the whole daemon (or iawj_cli --connect) down.
 #ifndef IAWJ_SERVE_PROTOCOL_H_
 #define IAWJ_SERVE_PROTOCOL_H_
 
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "src/common/json.h"
 #include "src/common/status.h"
@@ -95,15 +115,51 @@ std::string ByeJson(const std::string& tenant, uint64_t windows,
                     bool recovered, bool degraded);
 
 // Frame parsers (the "op" key has already been dispatched on).
+// ParseBatch reads a batch from its parsed tree: the fallback lane for
+// frames ScanBatchFrame does not take, and the reference the scan is tested
+// against.
 Status ParseBatch(const json::Value& message, std::vector<Tuple>* r,
                   std::vector<Tuple>* s);
 Status ParseWindow(const json::Value& message, WindowResult* out);
 // Reconstructs the typed Status carried by an {"op":"error"} frame.
 Status ParseError(const json::Value& message);
 
+// Scans a canonical batch frame, exactly the bytes BatchJson writes, into
+// *r and *s in one pass. Returns false with both cleared for any other
+// input: "not canonical", never a refusal.
+bool ScanBatchFrame(std::string_view frame, std::vector<Tuple>* r,
+                    std::vector<Tuple>* s);
+
+// One frame on a tenant's connection after hello, decoded the way the daemon
+// decodes it: a canonical batch takes ScanBatchFrame, any other frame
+// json::Parse. The tuples are taken in a second step, after the daemon has
+// dispatched on op() and checked for a drain, so the fallback keeps the
+// order json::Parse -> op -> drain -> ParseBatch.
+class TenantFrame {
+ public:
+  // Fails, with json::Parse's error, only when the frame is not JSON.
+  Status Decode(std::string_view text);
+
+  // "batch" after a scan; otherwise the tree's "op" ("" when absent).
+  const std::string& op() const { return op_; }
+  // True when the frame took the canonical fast lane.
+  bool scanned() const { return scanned_; }
+
+  // Moves a batch frame's tuples out: the scan's, or ParseBatch's.
+  Status TakeBatch(std::vector<Tuple>* r, std::vector<Tuple>* s);
+
+ private:
+  std::string op_;
+  bool scanned_ = false;
+  json::Value message_;
+  std::vector<Tuple> r_, s_;
+};
+
 // --- Framing over a file descriptor ---
 
-// Writes `json` plus the terminating newline, retrying short writes.
+// Writes `json` plus the terminating newline with sendmsg(MSG_NOSIGNAL),
+// retrying short writes. A closed peer is FailedPrecondition, not SIGPIPE.
+// `fd` must be a socket.
 Status WriteFrame(int fd, const std::string& json);
 
 // Buffered newline-framed reader. Not thread-safe.
@@ -117,6 +173,8 @@ class FrameReader {
   // admission bound (see ServeServer); this default covers every
   // control-plane frame with room to spare.
   static constexpr size_t kDefaultMaxFrameBytes = 64u << 20;  // 64 MiB
+  // The most one read(2) asks for; it lands straight in the buffer.
+  static constexpr size_t kReadBytes = 64u << 10;  // 64 KiB
 
   explicit FrameReader(int fd, size_t max_frame_bytes = kDefaultMaxFrameBytes)
       : fd_(fd), max_frame_bytes_(max_frame_bytes) {}
@@ -136,7 +194,10 @@ class FrameReader {
  private:
   int fd_;
   size_t max_frame_bytes_;
+  // Bytes read but not yet returned; never more than max_frame_bytes_ + 1.
   std::string buffer_;
+  // Length of buffer_'s prefix already searched for a newline.
+  size_t searched_ = 0;
 };
 
 }  // namespace iawj::serve

@@ -360,24 +360,21 @@ void ServeServer::HandleConnection(int fd) {
       break;
     }
 
-    json::Value message;
-    Status parsed = json::Parse(frame, &message);
-    if (!parsed.ok()) {
+    TenantFrame message;
+    if (const Status parsed = message.Decode(frame); !parsed.ok()) {
       WriteFrame(fd, ErrorJson(Status::InvalidArgument("bad frame: " +
                                                        parsed.ToString())));
       continue;
     }
-    const json::Value* op = message.Find("op");
-    const std::string op_name = op != nullptr ? op->string : "";
 
-    if (op_name == "end") {
+    if (message.op() == "end") {
       SealFinal(&session, fd);
       sealed = true;
       break;
     }
-    if (op_name != "batch") {
-      WriteFrame(fd,
-                 ErrorJson(Status::InvalidArgument("unknown op: " + op_name)));
+    if (message.op() != "batch") {
+      WriteFrame(fd, ErrorJson(Status::InvalidArgument("unknown op: " +
+                                                       message.op())));
       continue;
     }
     if (draining_.load(std::memory_order_relaxed)) {
@@ -391,8 +388,15 @@ void ServeServer::HandleConnection(int fd) {
       break;
     }
 
+    if (!message.scanned()) {
+      {
+        std::lock_guard<std::mutex> lock(stats_mu_);
+        ++stats_.batches_json_fallback;
+      }
+      BumpCounter("serve.batches_json_fallback");
+    }
     std::vector<Tuple> batch_r, batch_s;
-    Status admitted = ParseBatch(message, &batch_r, &batch_s);
+    Status admitted = message.TakeBatch(&batch_r, &batch_s);
     // Without an ingest policy the sorted-stream contract and the key domain
     // are the client's to honor: a regressing timestamp would corrupt window
     // slicing and an out-of-domain key the sort and linear-probe joins, so

@@ -86,6 +86,7 @@ class ServeServer {
     uint64_t tenants_admitted = 0;
     uint64_t tenants_rejected = 0;
     uint64_t batches_rejected = 0;
+    uint64_t batches_json_fallback = 0;  // batches not in canonical form
     uint64_t tuples_in = 0;
     uint64_t tuples_shed = 0;      // watermark + backlog shedding
     uint64_t windows_done = 0;

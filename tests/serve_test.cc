@@ -1,16 +1,19 @@
 // Tests for the iawj_serve daemon stack (ISSUE 10): wire protocol
-// round-trips, the multi-tenant differential proof (a daemon tenant is
-// byte-identical to the same spec run through the offline tumbling-window
-// pipeline), typed admission refusals, drain completeness, fair-share
-// non-starvation, v9 run-record serve blocks, and the iawj_serve help-table
-// drift check.
+// round-trips, the batch fast lane against the JSON tree parse, framing,
+// the multi-tenant differential proof (a daemon tenant is byte-identical to
+// the same spec run through the offline tumbling-window pipeline), typed
+// admission refusals, drain completeness, fair-share non-starvation, v9
+// run-record serve blocks, and the iawj_serve help-table drift check.
 #include <dirent.h>
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <regex>
 #include <set>
@@ -20,10 +23,12 @@
 #include <vector>
 
 #include "src/common/json.h"
+#include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/datagen/micro.h"
 #include "src/join/context.h"
 #include "src/join/window_pipeline.h"
+#include "src/profiling/metrics.h"
 #include "src/serve/client.h"
 #include "src/serve/pool.h"
 #include "src/serve/protocol.h"
@@ -174,28 +179,310 @@ TEST(ServeProtocol, BatchFieldsOutsideUint32AreRefused) {
 }
 
 TEST(ServeProtocol, HelloRoundTripsEveryAnswerAffectingKnob) {
-  serve::TenantSpec tenant;
-  tenant.name = "rt";
-  tenant.algo = AlgorithmId::kPmjJb;
-  tenant.spec = TestSpec(7);
-  tenant.spec.num_threads = 4;
-  tenant.spec.jb_group_size = 2;
-  tenant.spec.radix_bits = 9;
-  tenant.spec.retry_max_attempts = 3;
-  tenant.spec.fallback_enabled = true;
+  // The seed drives shed sampling and backoff jitter, so it must survive
+  // the wire exactly: a JSON number would round 2^53 + 1 to 2^53.
+  for (const uint64_t seed : {uint64_t{42}, (uint64_t{1} << 53) + 1,
+                              ~uint64_t{0}}) {
+    SCOPED_TRACE("supervisor_seed " + std::to_string(seed));
+    serve::TenantSpec tenant;
+    tenant.name = "rt";
+    tenant.algo = AlgorithmId::kPmjJb;
+    tenant.spec = TestSpec(7);
+    tenant.spec.num_threads = 4;
+    tenant.spec.jb_group_size = 2;
+    tenant.spec.radix_bits = 9;
+    tenant.spec.retry_max_attempts = 3;
+    tenant.spec.fallback_enabled = true;
+    tenant.spec.supervisor_seed = seed;
 
-  json::Value parsed;
-  ASSERT_TRUE(json::Parse(tenant.ToHelloJson(), &parsed).ok());
-  serve::TenantSpec back;
-  ASSERT_TRUE(serve::TenantSpec::FromHello(parsed, &back).ok());
-  EXPECT_EQ(back.name, "rt");
-  EXPECT_EQ(back.algo, AlgorithmId::kPmjJb);
-  EXPECT_EQ(back.spec.num_threads, 4);
-  EXPECT_EQ(back.spec.window_ms, 7u);
-  EXPECT_EQ(back.spec.jb_group_size, 2);
-  EXPECT_EQ(back.spec.radix_bits, 9);
-  EXPECT_EQ(back.spec.retry_max_attempts, 3);
-  EXPECT_TRUE(back.spec.fallback_enabled);
+    json::Value parsed;
+    ASSERT_TRUE(json::Parse(tenant.ToHelloJson(), &parsed).ok());
+    serve::TenantSpec back;
+    ASSERT_TRUE(serve::TenantSpec::FromHello(parsed, &back).ok());
+    EXPECT_EQ(back.name, "rt");
+    EXPECT_EQ(back.algo, AlgorithmId::kPmjJb);
+    EXPECT_EQ(back.spec.num_threads, 4);
+    EXPECT_EQ(back.spec.window_ms, 7u);
+    EXPECT_EQ(back.spec.jb_group_size, 2);
+    EXPECT_EQ(back.spec.radix_bits, 9);
+    EXPECT_EQ(back.spec.retry_max_attempts, 3);
+    EXPECT_TRUE(back.spec.fallback_enabled);
+    EXPECT_EQ(back.spec.supervisor_seed, seed);
+  }
+}
+
+// A cast would turn each of these into a different knob value than the
+// client asked for; every one is refused typed instead.
+TEST(ServeProtocol, HelloNumbersOutsideTheirKnobAreRefused) {
+  for (const char* field :
+       {R"("window_ms":4294967297)", R"("window_ms":2.5)",
+        R"("morsel_size":-1)", R"("deadline_ms":4294967396)",
+        R"("threads":"4")", R"("supervisor_seed":9007199254740993)",
+        R"("supervisor_seed":"-1")",
+        R"("supervisor_seed":"18446744073709551616")"}) {
+    SCOPED_TRACE(field);
+    json::Value hello;
+    ASSERT_TRUE(json::Parse(std::string(R"({"op":"hello","tenant":"t",)") +
+                                field + "}",
+                            &hello)
+                    .ok());
+    serve::TenantSpec tenant;
+    const Status status = serve::TenantSpec::FromHello(hello, &tenant);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+  }
+  // The older numeric seed form still reads while it is exact.
+  json::Value hello;
+  ASSERT_TRUE(json::Parse(R"({"op":"hello","tenant":"t",)"
+                          R"("supervisor_seed":9007199254740991})",
+                          &hello)
+                  .ok());
+  serve::TenantSpec tenant;
+  ASSERT_TRUE(serve::TenantSpec::FromHello(hello, &tenant).ok());
+  EXPECT_EQ(tenant.spec.supervisor_seed, 9007199254740991u);
+}
+
+// --- The batch fast lane against the JSON tree parse ---------------------
+
+// Random batches with empty sides, both ends of the uint32 range, and
+// numbers of every width from 1 to 10 digits.
+std::vector<std::pair<std::vector<Tuple>, std::vector<Tuple>>> RandomBatches(
+    uint64_t seed, int count) {
+  Rng rng(seed);
+  const auto value = [&rng]() -> uint32_t {
+    switch (rng.NextBounded(4)) {
+      case 0:
+        return 0;
+      case 1:
+        return 4294967295u;
+      default: {
+        uint64_t v = rng.NextBounded(9) + 1;  // 1 to 10 digits
+        for (uint64_t digits = rng.NextBounded(10); digits > 0; --digits) {
+          v = v * 10 + rng.NextBounded(10);
+        }
+        return static_cast<uint32_t>(std::min<uint64_t>(v, 4294967295u));
+      }
+    }
+  };
+  const auto side = [&]() {
+    std::vector<Tuple> tuples(rng.NextBounded(3) == 0 ? 0
+                                                      : rng.NextBounded(40));
+    for (Tuple& t : tuples) t = Tuple{value(), value()};
+    return tuples;
+  };
+  std::vector<std::pair<std::vector<Tuple>, std::vector<Tuple>>> batches;
+  for (int i = 0; i < count; ++i) {
+    auto r = side();
+    batches.emplace_back(std::move(r), side());
+  }
+  return batches;
+}
+
+// BatchJson as it was written before the fast lane, through json::Writer.
+std::string WriterBatchJson(std::span<const Tuple> r,
+                            std::span<const Tuple> s) {
+  json::Writer w;
+  w.BeginObject();
+  w.Field("op", "batch");
+  for (const auto& [key, tuples] : {std::pair{"r", r}, std::pair{"s", s}}) {
+    w.Key(key).BeginArray();
+    for (const Tuple& t : tuples) {
+      w.BeginArray().Uint(t.ts).Uint(t.key).EndArray();
+    }
+    w.EndArray();
+  }
+  w.EndObject();
+  return w.str();
+}
+
+TEST(ServeProtocol, BatchJsonFramesTakeTheFastLane) {
+  const auto batches = RandomBatches(/*seed=*/16, /*count=*/400);
+  for (size_t i = 0; i < batches.size(); ++i) {
+    SCOPED_TRACE("batch " + std::to_string(i));
+    const auto& [r, s] = batches[i];
+    const std::string frame = serve::BatchJson(r, s);
+    EXPECT_EQ(frame, WriterBatchJson(r, s));
+    std::vector<Tuple> scanned_r{{9, 9}}, scanned_s;
+    ASSERT_TRUE(serve::ScanBatchFrame(frame, &scanned_r, &scanned_s))
+        << frame;
+    EXPECT_EQ(scanned_r, r);
+    EXPECT_EQ(scanned_s, s);
+  }
+}
+
+// Runs one frame through the daemon's decoder (TenantFrame) and through
+// json::Parse + ParseBatch: both must accept it with the same op and
+// tuples, or refuse it with the same code and message. Returns whether the
+// frame took the fast lane.
+bool ExpectLanesAgree(const std::string& frame) {
+  SCOPED_TRACE(frame);
+  serve::TenantFrame daemon;
+  const Status decoded = daemon.Decode(frame);
+  json::Value tree;
+  const Status parsed = json::Parse(frame, &tree);
+  EXPECT_EQ(decoded.code(), parsed.code());
+  EXPECT_EQ(decoded.message(), parsed.message());
+  if (!parsed.ok() || !decoded.ok()) return false;
+  const json::Value* op = tree.Find("op");
+  EXPECT_EQ(daemon.op(), op != nullptr ? op->string : "");
+  if (daemon.op() != "batch") return false;
+  const bool scanned = daemon.scanned();
+  std::vector<Tuple> daemon_r, daemon_s, tree_r, tree_s;
+  const Status taken = daemon.TakeBatch(&daemon_r, &daemon_s);
+  const Status reference = serve::ParseBatch(tree, &tree_r, &tree_s);
+  EXPECT_EQ(taken.code(), reference.code());
+  EXPECT_EQ(taken.message(), reference.message());
+  if (taken.ok() && reference.ok()) {
+    EXPECT_EQ(daemon_r, tree_r);
+    EXPECT_EQ(daemon_s, tree_s);
+  }
+  // A frame outside the canonical shape leaves the scan's outputs empty.
+  std::vector<Tuple> scan_r{{1, 1}}, scan_s{{2, 2}};
+  if (!serve::ScanBatchFrame(frame, &scan_r, &scan_s)) {
+    EXPECT_TRUE(scan_r.empty() && scan_s.empty());
+  }
+  return scanned;
+}
+
+TEST(ServeProtocol, FastLaneAgreesWithTreeParseOnValidAndMutatedFrames) {
+  const Tuple r[] = {{1, 20}, {300, 4000000000u}};
+  const Tuple s[] = {{0, 4294967295u}};
+  const std::string small = serve::BatchJson(r, s);
+  ASSERT_TRUE(ExpectLanesAgree(small));
+
+  std::vector<std::string> corpus;
+  for (size_t n = 0; n < small.size(); ++n) {
+    corpus.push_back(small.substr(0, n));
+  }
+  for (size_t i = 0; i < small.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = small;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      corpus.push_back(flipped);
+    }
+    for (const char c : std::string_view(" 0129[]{},:\"-.eE+x")) {
+      std::string replaced = small;
+      replaced[i] = c;
+      corpus.push_back(replaced);
+    }
+    for (const char ws : {' ', '\t', '\r'}) {
+      std::string spaced = small;
+      spaced.insert(i, 1, ws);
+      corpus.push_back(spaced);
+    }
+  }
+  for (const char* frame : {
+           R"({"op":"batch","s":[[5,6]],"r":[[1,2]]})",           // s first
+           R"({"op":"batch","r":[[1,2]]})",                       // one side
+           R"({"op":"batch","s":[[1,2]]})",
+           R"({"op":"batch"})",
+           R"({"op":"batch","r":[[1,2]],"s":[],"x":1})",          // extra keys
+           R"({"x":[1],"op":"batch","r":[],"s":[[3,4]]})",
+           R"({"op":"batch","r":[[1,2]],"s":[],"r":[[3,4]]})",    // dup "r"
+           R"({"op":"batch","\u0072":[[1,2]],"s":[]})",           // escaped r
+           R"({"op":"batch","r":[[1,2]],"s":[]})",
+           R"({"op":"batch","r":[[01,2]],"s":[]})",               // numbers
+           R"({"op":"batch","r":[[-0,2]],"s":[]})",
+           R"({"op":"batch","r":[[1.0,2]],"s":[]})",
+           R"({"op":"batch","r":[[1e3,2]],"s":[]})",
+           R"({"op":"batch","r":[[00,2]],"s":[]})",
+           R"({"op":"batch","r":[[4294967296,2]],"s":[]})",
+           R"({"op":"batch","r":[[12345678901,2]],"s":[]})",
+           R"({"op":"batch","r":[[1,4294967295]],"s":[[4294967295,0]]})",
+           R"({"op":"batch","r":[[1,2,3]],"s":[]})",
+           R"({"op":"batch","r":[[1]],"s":[]})",
+           R"({"op":"batch","r":[[1,2],],"s":[]})",
+           R"({"op":"batch","r":[1,2],"s":[]})",
+           R"({"op":"batch","r":{},"s":[]})",
+           R"({"op":"batch","r":[],"s":[]} )",
+           R"({"op":"batch","r":[],"s":[]}})",
+           R"({"op":"end"})",
+           "",
+       }) {
+    corpus.push_back(frame);
+  }
+  for (const auto& [br, bs] : RandomBatches(/*seed=*/61, /*count=*/50)) {
+    corpus.push_back(serve::BatchJson(br, bs));
+  }
+
+  size_t scanned = 0, accepted_elsewhere = 0;
+  for (const std::string& frame : corpus) {
+    if (ExpectLanesAgree(frame)) {
+      ++scanned;
+    } else if (json::Value tree; json::Parse(frame, &tree).ok()) {
+      ++accepted_elsewhere;
+    }
+  }
+  // Both lanes were exercised: BatchJson's frames and the flips that keep
+  // the shape (a digit for a digit) were scanned, the rest fell back.
+  EXPECT_GT(scanned, 50u);
+  EXPECT_GT(accepted_elsewhere, 20u);
+}
+
+// --- Framing ---------------------------------------------------------------
+
+// Writes `bytes` to `fd` in pieces of at most `piece` bytes.
+void WriteAll(int fd, const std::string& bytes, size_t piece) {
+  for (size_t at = 0; at < bytes.size();) {
+    const ssize_t n = ::write(fd, bytes.data() + at,
+                              std::min(piece, bytes.size() - at));
+    ASSERT_GT(n, 0);
+    at += static_cast<size_t>(n);
+  }
+}
+
+TEST(ServeProtocol, FrameReaderReassemblesFramesAcrossReads) {
+  constexpr size_t kRead = serve::FrameReader::kReadBytes;
+  const auto blob = [](size_t n, char c) { return std::string(n, c); };
+  const struct {
+    const char* name;
+    std::vector<std::string> frames;
+    size_t piece;  // bytes per write(2)
+  } kCases[] = {
+      {"one byte at a time", {R"({"op":"end"})", "{}"}, 1},
+      {"several frames in one write", {"a", "", "bc", blob(100, 'd')}, 0},
+      {"200 KiB frame", {blob(200 << 10, 'x'), "tail"}, 0},
+      {"ends on a read boundary", {blob(kRead - 1, 'y'), "next"}, 0},
+      {"newline opens the next read", {blob(kRead, 'z'), "next"}, 0},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.name);
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    std::string wire;
+    for (const std::string& frame : c.frames) wire += frame + "\n";
+    std::thread writer([&] {
+      WriteAll(fds[1], wire, c.piece == 0 ? wire.size() : c.piece);
+      ::close(fds[1]);
+    });
+    serve::FrameReader reader(fds[0], /*max_frame_bytes=*/256 << 10);
+    for (const std::string& expect : c.frames) {
+      std::string frame;
+      bool eof = false;
+      ASSERT_TRUE(reader.ReadFrame(&frame, &eof).ok());
+      ASSERT_FALSE(eof);
+      EXPECT_EQ(frame.size(), expect.size());
+      EXPECT_TRUE(frame == expect);
+    }
+    std::string frame;
+    bool eof = false;
+    EXPECT_TRUE(reader.ReadFrame(&frame, &eof).ok());
+    EXPECT_TRUE(eof);
+    writer.join();
+    ::close(fds[0]);
+  }
+}
+
+// A client that hangs up before its reply must cost the writer a typed
+// status: a SIGPIPE would kill the daemon and every other tenant with it.
+TEST(ServeProtocol, WriteFrameToAClosedPeerFailsTyped) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ::close(fds[1]);
+  const Status status = serve::WriteFrame(fds[0], serve::OkJson());
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+      << status.ToString();
+  ::close(fds[0]);
 }
 
 // --- The differential proof ----------------------------------------------
@@ -291,6 +578,119 @@ TEST(ServeDifferential, ConcurrentTenantsMatchOfflineByteExact) {
   }
   EXPECT_EQ(server.stats().tenants_admitted, kCount);
   EXPECT_EQ(server.stats().windows_done, offline_windows);
+}
+
+// A batch frame that is valid JSON but not BatchJson's canonical shape —
+// spaces everywhere, keys reordered — is served on the fallback lane: acked,
+// counted in serve.batches_json_fallback, and answered exactly like the
+// offline pipeline. ServeClient's frames never take the fallback.
+TEST(ServeDifferential, NonCanonicalBatchFramesTakeTheFallbackLane) {
+  const bool metrics_were_enabled = metrics::Enabled();
+  metrics::ForceEnable(true);
+  metrics::Counter* fallback =
+      metrics::GetCounter("serve.batches_json_fallback");
+  ASSERT_NE(fallback, nullptr);
+  const uint64_t fallback_before = fallback->Value();
+
+  serve::ServeOptions options;
+  options.socket_path = TestSocketPath("fallback");
+  options.pool_threads = 1;
+  serve::ServeServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+
+  const MicroWorkload w = TestWorkload(88);
+  const JoinSpec spec = TestSpec(4);
+  const PipelineResult offline =
+      RunTumblingWindows(AlgorithmId::kNpj, w.r, w.s, spec);
+  ASSERT_TRUE(offline.status.ok());
+  ASSERT_GT(offline.windows.size(), 1u);
+
+  serve::ServeClient canonical;
+  ASSERT_TRUE(DriveTenant(options.socket_path, "canonical", AlgorithmId::kNpj,
+                          spec, w, &canonical)
+                  .ok());
+  EXPECT_EQ(canonical.totals().checksum, offline.total_checksum);
+  EXPECT_EQ(server.stats().batches_json_fallback, 0u);
+  EXPECT_EQ(fallback->Value(), fallback_before);
+
+  // The same stream from a hand-rolled client, in two pretty-printed frames.
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, options.socket_path.c_str(),
+               sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  serve::FrameReader reader(fd);
+  const auto reply_op = [&reader]() {
+    json::Value reply;
+    bool eof = false;
+    EXPECT_TRUE(reader.ReadMessage(&reply, &eof).ok());
+    EXPECT_FALSE(eof);
+    const json::Value* op = reply.Find("op");
+    return std::pair{op != nullptr ? op->string : "", reply};
+  };
+  serve::TenantSpec tenant;
+  tenant.name = "pretty";
+  tenant.algo = AlgorithmId::kNpj;
+  tenant.spec = spec;
+  ASSERT_TRUE(serve::WriteFrame(fd, tenant.ToHelloJson()).ok());
+  ASSERT_EQ(reply_op().first, "ok");
+  const auto pretty = [](std::span<const Tuple> r, std::span<const Tuple> s) {
+    const auto side = [](std::span<const Tuple> tuples) {
+      std::string out = "[ ";
+      for (size_t i = 0; i < tuples.size(); ++i) {
+        out += (i > 0 ? ", [ " : "[ ") + std::to_string(tuples[i].ts) +
+               " , " + std::to_string(tuples[i].key) + " ]";
+      }
+      return out + " ]";
+    };
+    return "{ \"s\" : " + side(s) + ", \"op\" : \"batch\", \"r\" : " +
+           side(r) + " }";
+  };
+  const uint64_t mid = std::max<uint64_t>(w.r.MaxTs(), w.s.MaxTs()) / 2;
+  const auto cut = [mid](const Stream& stream) {
+    return static_cast<size_t>(
+        std::partition_point(
+            stream.tuples.begin(), stream.tuples.end(),
+            [mid](const Tuple& t) { return t.ts < mid; }) -
+        stream.tuples.begin());
+  };
+  const std::span<const Tuple> r(w.r.tuples), s(w.s.tuples);
+  const size_t ir = cut(w.r), is = cut(w.s);
+  for (const std::string& frame :
+       {pretty(r.first(ir), s.first(is)),
+        pretty(r.subspan(ir), s.subspan(is))}) {
+    std::vector<Tuple> scan_r, scan_s;
+    ASSERT_FALSE(serve::ScanBatchFrame(frame, &scan_r, &scan_s));
+    ASSERT_TRUE(serve::WriteFrame(fd, frame).ok());
+    ASSERT_EQ(reply_op().first, "ok");
+  }
+  ASSERT_TRUE(serve::WriteFrame(fd, serve::EndJson()).ok());
+  std::vector<serve::WindowResult> windows;
+  for (;;) {
+    const auto [op, reply] = reply_op();
+    if (op == "bye") break;
+    ASSERT_EQ(op, "window");
+    ASSERT_TRUE(serve::ParseWindow(reply, &windows.emplace_back()).ok());
+  }
+  ::close(fd);
+  server.Shutdown();
+  metrics::ForceEnable(metrics_were_enabled);
+
+  EXPECT_EQ(server.stats().batches_json_fallback, 2u);
+  EXPECT_EQ(fallback->Value(), fallback_before + 2);
+  ASSERT_EQ(windows.size(), offline.windows.size());
+  for (size_t wi = 0; wi < windows.size(); ++wi) {
+    SCOPED_TRACE("window " + std::to_string(wi));
+    const WindowRun& expect = offline.windows[wi];
+    EXPECT_EQ(windows[wi].window_index, expect.window_index);
+    EXPECT_EQ(windows[wi].inputs, expect.result.inputs);
+    EXPECT_EQ(windows[wi].matches, expect.result.matches);
+    EXPECT_EQ(windows[wi].checksum, expect.result.checksum);
+  }
 }
 
 // --- Typed admission refusals --------------------------------------------
