@@ -16,6 +16,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <limits>
 
 namespace iawj {
 
@@ -31,9 +32,17 @@ class Clock {
   // Stream-time milliseconds elapsed since Start().
   double NowMs() const;
 
+  // Stream time up to which tuples are visible: NowMs() under the real-time
+  // clock; +infinity under the instant clock, which reads no clock. One
+  // reading tests a whole block of arrivals.
+  double ArrivalHorizonMs() const {
+    return mode_ == Mode::kInstant ? std::numeric_limits<double>::infinity()
+                                   : NowMs();
+  }
+
   // Whether a tuple with the given arrival timestamp is visible yet.
   bool HasArrived(uint32_t ts_ms) const {
-    return mode_ == Mode::kInstant || static_cast<double>(ts_ms) <= NowMs();
+    return static_cast<double>(ts_ms) <= ArrivalHorizonMs();
   }
 
   // Blocks until stream time reaches stream_ms (no-op in kInstant mode or if

@@ -1,5 +1,7 @@
 #include "src/join/eager_engine.h"
 
+#include <algorithm>
+#include <array>
 #include <thread>
 
 #include "src/common/fault.h"
@@ -107,6 +109,9 @@ void EagerJoin<Tracer>::RunWorker(const JoinContext& ctx, int worker) {
   const int group_base = group * dist.group_size();
   size_t cur_morsel = static_cast<size_t>(-1);
   bool cur_owned = false;
+  const auto owns_r = [&](const Tuple& t, uint64_t seq) {
+    return dist.OwnsR(worker, t, seq);
+  };
   const auto owns_s = [&](const Tuple& t, uint64_t seq) -> bool {
     if (!morsel) return dist.OwnsS(worker, t, seq);
     if (jb && dist.GroupOf(t.key) != group) return false;
@@ -132,23 +137,56 @@ void EagerJoin<Tracer>::RunWorker(const JoinContext& ctx, int worker) {
         }
       }
     }
+    if (cur_owned) ++sched->stats(worker).tuples;
     return cur_owned;
   };
 
-  // Worker-local copies when physical partitioning is on. Reserved up front
-  // so value-table pointers never dangle (value states copy immediately
-  // anyway; pointer states are only used without physical partitioning).
+  // Worker-local copies when physical partitioning is on. Value states copy
+  // each block before returning, so a later reallocation moves nothing they
+  // still reference; pointer states run only without physical partitioning.
   mem::TrackedBuffer<Tuple> local_r;
   mem::TrackedBuffer<Tuple> local_s;
+  std::array<const Tuple*, kEagerPullBlock> owned{};
+
+  // Routes in[begin, end) (at most one block) and returns the tuples this
+  // worker owns. The caller has switched to the partition phase.
+  const auto route = [&](std::span<const Tuple> in, size_t begin, size_t end,
+                         const auto& owns, mem::TrackedBuffer<Tuple>& local) {
+    size_t n = 0;
+    for (size_t i = begin; i < end; ++i) {
+      const Tuple& t = in[i];
+      tracer.Access(&t, sizeof(Tuple));
+      if (!owns(t, i)) continue;
+      if (jb) router->Note(t.key, worker);
+      if (physical) {
+        local.PushBack(t);
+      } else {
+        owned[n] = &t;
+      }
+      ++n;
+    }
+    if (physical) {
+      const Tuple* copy = local.data() + (local.size() - n);
+      for (size_t k = 0; k < n; ++k) owned[k] = copy + k;
+    }
+    return TupleBlock(owned.data(), n);
+  };
 
   PhaseStopwatch sw(&prof);
   const std::span<const Tuple> r = ctx.r;
   const std::span<const Tuple> s = ctx.s;
   size_t ir = 0, is = 0;
-  // Periodic trace counter of pulled tuples; power-of-two mask keeps the
-  // sampling test off the critical path when tracing is disabled.
-  constexpr size_t kCounterMask = 4095;
-  size_t last_counter_at = static_cast<size_t>(-1);
+  // End of the arrived prefix of in[begin, begin + kEagerPullBlock).
+  const auto arrived = [](std::span<const Tuple> in, size_t begin,
+                          double horizon_ms) {
+    const size_t end = std::min(in.size(), begin + kEagerPullBlock);
+    size_t k = begin;
+    while (k < end && static_cast<double>(in[k].ts) <= horizon_ms) ++k;
+    return k;
+  };
+  // Trace counter of pulled tuples, every kCounterEvery of them.
+  constexpr size_t kCounterEvery = 4096;
+  size_t next_counter_at = 0;
 
   // Fault: this worker wedges before pulling a single tuple — the shape of a
   // livelocked consumer. It parks until the deadline watchdog (or a peer's
@@ -164,63 +202,40 @@ void EagerJoin<Tracer>::RunWorker(const JoinContext& ctx, int worker) {
   }
 
   // The §4.2.2 pull loop: alternate between streams, consuming whatever has
-  // arrived; stall only when the worker outruns both streams.
+  // arrived, a block at a time; stall only when the worker outruns both
+  // streams.
   while (ir < r.size() || is < s.size()) {
-    if (((ir + is) & kCounterMask) == 0 && ctx.Cancelled()) {
+    if (ctx.Cancelled()) {
       sw.Stop();
       return;
     }
-    bool progressed = false;
-    if (trace::Active() && ((ir + is) & kCounterMask) == 0 &&
-        ir + is != last_counter_at) {
-      last_counter_at = ir + is;
-      trace::Counter("eager_pulled", static_cast<double>(last_counter_at));
+    if (trace::Active() && ir + is >= next_counter_at) {
+      trace::Counter("eager_pulled", static_cast<double>(ir + is));
+      next_counter_at = ir + is + kCounterEvery;
     }
 
-    if (ir < r.size() && ctx.clock->HasArrived(r[ir].ts)) {
-      sw.Switch(Phase::kPartition);
-      tracer.SetPhase(Phase::kPartition);
-      const Tuple& t = r[ir];
-      tracer.Access(&t, sizeof(Tuple));
-      if (dist.OwnsR(worker, t, ir)) {
-        if (jb) router->Note(t.key, worker);
-        if (physical) {
-          local_r.PushBack(t);
-          state->OnR(local_r[local_r.size() - 1], sink, sw);
-        } else {
-          state->OnR(t, sink, sw);
-        }
-      }
-      ++ir;
-      progressed = true;
-    }
-
-    if (is < s.size() && ctx.clock->HasArrived(s[is].ts)) {
-      sw.Switch(Phase::kPartition);
-      tracer.SetPhase(Phase::kPartition);
-      const Tuple& t = s[is];
-      tracer.Access(&t, sizeof(Tuple));
-      if (owns_s(t, is)) {
-        if (morsel) ++sched->stats(worker).tuples;
-        if (jb) router->Note(t.key, worker);
-        if (physical) {
-          local_s.PushBack(t);
-          state->OnS(local_s[local_s.size() - 1], sink, sw);
-        } else {
-          state->OnS(t, sink, sw);
-        }
-      }
-      ++is;
-      progressed = true;
-    }
-
-    if (!progressed) {
-      if (ctx.Cancelled()) {
-        sw.Stop();
-        return;
-      }
+    const double horizon_ms = ctx.clock->ArrivalHorizonMs();
+    const size_t r_end = arrived(r, ir, horizon_ms);
+    const size_t s_end = arrived(s, is, horizon_ms);
+    if (r_end == ir && s_end == is) {
       sw.Switch(Phase::kWait);
       std::this_thread::sleep_for(std::chrono::microseconds(20));
+      continue;
+    }
+
+    if (r_end > ir) {
+      sw.Switch(Phase::kPartition);
+      tracer.SetPhase(Phase::kPartition);
+      const TupleBlock block = route(r, ir, r_end, owns_r, local_r);
+      ir = r_end;
+      if (!block.empty()) state->OnR(block, sink, sw);
+    }
+    if (s_end > is) {
+      sw.Switch(Phase::kPartition);
+      tracer.SetPhase(Phase::kPartition);
+      const TupleBlock block = route(s, is, s_end, owns_s, local_s);
+      is = s_end;
+      if (!block.empty()) state->OnS(block, sink, sw);
     }
   }
 

@@ -4,20 +4,24 @@
 // stream distribution scheme (JM or JB). Every worker scans both inputs in
 // arrival order through the virtual clock's gate, alternating between
 // streams and stalling when it outruns tuple arrival — the pull loop the
-// paper describes in §4.2.2. Owned tuples are fed to the worker's local join
-// state, which emits matches eagerly.
+// paper describes in §4.2.2. The loop takes each stream's arrived prefix in
+// blocks of kEagerPullBlock tuples: one clock reading tests a block's
+// arrival, one partition-phase switch covers its routing, and the owned
+// tuples reach the worker's local join state as one TupleBlock, which
+// emits matches eagerly.
 //
 // The JB router keeps per-key dispatch state ("status maintenance"), whose
-// cost is the partition-phase overhead the paper isolates in §5.3.3. The
-// physical-partitioning knob (§5.5, Figure 17) switches between copying
-// owned tuples into worker-local buffers (value tables, better locality)
-// and referencing the shared input arrays (pointer tables, cheaper
-// partitioning).
+// cost is the partition-phase overhead the paper isolates in §5.3.3, so it
+// is updated for every owned tuple. The physical-partitioning knob (§5.5,
+// Figure 17) switches between copying owned tuples into worker-local
+// buffers (value tables, better locality) and referencing the shared input
+// arrays (pointer tables, cheaper partitioning).
 #ifndef IAWJ_JOIN_EAGER_ENGINE_H_
 #define IAWJ_JOIN_EAGER_ENGINE_H_
 
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 
 #include "src/join/context.h"
@@ -26,15 +30,27 @@
 
 namespace iawj {
 
+// Tuples the pull loop takes from one stream per step: the clock is read
+// once per block to test arrival, not once per tuple.
+inline constexpr size_t kEagerPullBlock = 256;
+
+// One block of owned tuples of one stream, in arrival order. The pointers
+// reference the shared input, which outlives the run, or, under physical
+// partitioning, the worker's own copy, which may move once the call
+// returns: only value-storing states run with physical partitioning.
+using TupleBlock = std::span<const Tuple* const>;
+
 // Per-worker stream-join state. Implementations switch the stopwatch to the
-// phase they spend time in (build/sort/merge/probe).
+// phase they spend time in (build/sort/merge/probe), a constant number of
+// times per block.
 class EagerState {
  public:
   virtual ~EagerState() = default;
 
-  // Processes one owned tuple: integrate into local state, emit matches.
-  virtual void OnR(const Tuple& r, MatchSink& sink, PhaseStopwatch& sw) = 0;
-  virtual void OnS(const Tuple& s, MatchSink& sink, PhaseStopwatch& sw) = 0;
+  // Processes one block of owned tuples: integrate into local state, emit
+  // matches.
+  virtual void OnR(TupleBlock block, MatchSink& sink, PhaseStopwatch& sw) = 0;
+  virtual void OnS(TupleBlock block, MatchSink& sink, PhaseStopwatch& sw) = 0;
 
   // Called once after both inputs are exhausted (PMJ's merge phase runs
   // here; SHJ has nothing left to do).
@@ -52,9 +68,10 @@ struct EagerStateConfig {
   bool store_pointers = false;  // !JoinSpec::eager_physical_partition
   bool use_simd = true;
   // Non-scalar probe kernels from the run's plan (JoinContext::kernels).
-  // SHJ is per-tuple, so its kernel is a cross-table prefetch: hint the
-  // opposite table's probe bucket before the insert so the probe's miss
-  // overlaps the build work. Always false under SimTracer.
+  // SHJ probes one tuple at a time, so its kernel is a cross-table
+  // prefetch: while a block is inserted, hint each tuple's probe bucket in
+  // the opposite table so the block's probe misses overlap the build work.
+  // Always false under SimTracer.
   bool cache_kernels = false;
   // The plan's AVX2 probe (KernelPlan::simd_probe, set only for
   // linear-probe tables on AVX2 hosts): ShjLinearState runs each per-tuple

@@ -6,6 +6,119 @@
 
 namespace iawj {
 
+namespace {
+
+// First position in [begin, end) at which before() turns false; before()
+// must hold at begin and be monotone. Gallops from begin, then bisects, so
+// the cost is logarithmic in the distance moved. Records every read.
+template <typename Tracer, typename Before>
+const uint64_t* Gallop(const uint64_t* begin, const uint64_t* end,
+                       Before&& before, Tracer& tracer) {
+  const size_t n = static_cast<size_t>(end - begin);
+  size_t lo = 0;  // before(begin[lo]) holds
+  size_t step = 1;
+  while (lo + step < n) {
+    tracer.Access(&begin[lo + step], sizeof(uint64_t));
+    if (!before(begin[lo + step])) break;
+    lo += step;
+    step *= 2;
+  }
+  size_t hi = std::min(lo + step, n);  // hi == n or !before(begin[hi])
+  while (hi - lo > 1) {
+    const size_t mid = lo + (hi - lo) / 2;
+    tracer.Access(&begin[mid], sizeof(uint64_t));
+    if (before(begin[mid])) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return begin + hi;
+}
+
+// One side's sorted runs, walked in key order: a cursor per run and a
+// min-heap of the head keys of the runs with tuples left. Every step pops
+// and pushes one run, so a walk costs O(sub-blocks · log runs) heap work
+// plus the gallops, and never scans every run for one key.
+template <typename Tracer>
+class RunWalk {
+ public:
+  RunWalk(const std::vector<mem::TrackedBuffer<uint64_t>>& runs,
+          Tracer& tracer)
+      : tracer_(tracer) {
+    cursors_.reserve(runs.size());
+    heap_.reserve(runs.size());
+    for (const auto& run : runs) {
+      cursors_.push_back({run.data(), run.data() + run.size()});
+      Push(static_cast<uint32_t>(cursors_.size() - 1));
+    }
+  }
+
+  bool done() const { return heap_.empty(); }
+  uint32_t min_key() const { return heap_.front().key; }
+
+  // Moves every run whose head key is below `key` to its first tuple with
+  // key >= `key`.
+  void SkipBelow(uint32_t key) {
+    while (!heap_.empty() && heap_.front().key < key) {
+      const uint32_t run = Pop();
+      Cursor& c = cursors_[run];
+      c.pos = Gallop(
+          c.pos, c.end, [key](uint64_t t) { return PackedKey(t) < key; },
+          tracer_);
+      Push(run);
+    }
+  }
+
+  // Calls f(run, tuples, n) with every run's sub-block of tuples of `key`,
+  // which must be min_key(), and moves past them.
+  template <typename F>
+  void Take(uint32_t key, F&& f) {
+    while (!heap_.empty() && heap_.front().key == key) {
+      const uint32_t run = Pop();
+      Cursor& c = cursors_[run];
+      const uint64_t* block = c.pos;
+      c.pos = Gallop(
+          c.pos, c.end, [key](uint64_t t) { return PackedKey(t) <= key; },
+          tracer_);
+      f(run, block, static_cast<size_t>(c.pos - block));
+      Push(run);
+    }
+  }
+
+ private:
+  struct Cursor {
+    const uint64_t* pos;
+    const uint64_t* end;
+  };
+  struct Head {
+    uint32_t key;
+    uint32_t run;
+  };
+  static bool Later(const Head& a, const Head& b) { return a.key > b.key; }
+
+  void Push(uint32_t run) {
+    const Cursor& c = cursors_[run];
+    if (c.pos == c.end) return;
+    tracer_.Access(c.pos, sizeof(uint64_t));
+    heap_.push_back({PackedKey(*c.pos), run});
+    std::push_heap(heap_.begin(), heap_.end(), Later);
+  }
+
+  uint32_t Pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), Later);
+    const uint32_t run = heap_.back().run;
+    heap_.pop_back();
+    return run;
+  }
+
+  Tracer& tracer_;
+  std::vector<Cursor> cursors_;
+  std::vector<Head> heap_;
+};
+
+}  // namespace
+
 template <typename Tracer>
 PmjState<Tracer>::PmjState(const EagerStateConfig& config, Tracer tracer)
     : run_threshold_(std::max<uint64_t>(
@@ -17,25 +130,30 @@ PmjState<Tracer>::PmjState(const EagerStateConfig& config, Tracer tracer)
       tracer_(std::move(tracer)) {}
 
 template <typename Tracer>
-void PmjState<Tracer>::OnR(const Tuple& r, MatchSink& sink,
+void PmjState<Tracer>::OnR(TupleBlock block, MatchSink& sink,
                            PhaseStopwatch& sw) {
-  sw.Switch(Phase::kBuild);
-  cur_r_.PushBack(PackTuple(r));
-  MaybeSealRun(sink, sw);
+  Append(block, cur_r_, sink, sw);
 }
 
 template <typename Tracer>
-void PmjState<Tracer>::OnS(const Tuple& s, MatchSink& sink,
+void PmjState<Tracer>::OnS(TupleBlock block, MatchSink& sink,
                            PhaseStopwatch& sw) {
-  sw.Switch(Phase::kBuild);
-  cur_s_.PushBack(PackTuple(s));
-  MaybeSealRun(sink, sw);
+  Append(block, cur_s_, sink, sw);
 }
 
 template <typename Tracer>
-void PmjState<Tracer>::MaybeSealRun(MatchSink& sink, PhaseStopwatch& sw) {
-  if (cur_r_.size() + cur_s_.size() >= run_threshold_) {
-    SealRun(sink, sw);
+void PmjState<Tracer>::Append(TupleBlock block,
+                              mem::TrackedBuffer<uint64_t>& side,
+                              MatchSink& sink, PhaseStopwatch& sw) {
+  size_t i = 0;
+  while (i < block.size()) {
+    sw.Switch(Phase::kBuild);
+    // The current run holds fewer than run_threshold_ tuples: every append
+    // that reaches it seals.
+    const size_t room = run_threshold_ - (cur_r_.size() + cur_s_.size());
+    const size_t end = i + std::min<size_t>(room, block.size() - i);
+    for (; i < end; ++i) side.PushBack(PackTuple(*block[i]));
+    if (cur_r_.size() + cur_s_.size() >= run_threshold_) SealRun(sink, sw);
   }
 }
 
@@ -62,31 +180,99 @@ void PmjState<Tracer>::SealRun(MatchSink& sink, PhaseStopwatch& sw) {
 template <typename Tracer>
 void PmjState<Tracer>::Finish(MatchSink& sink, PhaseStopwatch& sw) {
   SealRun(sink, sw);
-  if (runs_r_.empty()) return;
-  if (runs_r_.size() == 1) return;  // every pair was intra-run
+  if (runs_r_.size() <= 1) return;  // every pair was intra-run
 
-  // Merge phase: combine all runs (values + run tags) for each side.
+  // The merge phase walks the runs and emits the cross-run matches in one
+  // pass, so all of it is charged to merge.
   sw.Switch(Phase::kMerge);
-  size_t total_r = 0, total_s = 0;
-  std::vector<sort::Run> rr, sr;
-  for (const auto& run : runs_r_) {
-    rr.push_back({run.data(), run.size()});
-    total_r += run.size();
-  }
-  for (const auto& run : runs_s_) {
-    sr.push_back({run.data(), run.size()});
-    total_s += run.size();
-  }
-  mem::TrackedBuffer<uint64_t> rv(total_r), sv(total_s);
-  std::vector<uint32_t> rt(total_r), st(total_s);
-  sort::MultiwayMergeTagged(rr, rv.data(), rt.data());
-  sort::MultiwayMergeTagged(sr, sv.data(), st.data());
+  tracer_.SetPhase(Phase::kMerge);
+  JoinAcrossRuns(sink);
+}
 
-  // Cross-run matches only; intra-run pairs were emitted at seal time.
-  sw.Switch(Phase::kProbe);
-  tracer_.SetPhase(Phase::kProbe);
-  MergeJoin(rv.data(), total_r, sv.data(), total_s, sink, tracer_, cancel_,
-            [&](size_t a, size_t b) { return rt[a] != st[b]; });
+template <typename Tracer>
+void PmjState<Tracer>::JoinAcrossRuns(MatchSink& sink) {
+  const auto cancelled = [this] {
+    return cancel_ != nullptr && cancel_->cancelled();
+  };
+  RunWalk<Tracer> r_walk(runs_r_, tracer_);
+  RunWalk<Tracer> s_walk(runs_s_, tracer_);
+
+  // The current key's S sub-blocks: pieces[] in gather order, and each
+  // run's segment [lo, lo + n) of the gathered block.
+  struct Piece {
+    uint32_t run;
+    const uint64_t* data;
+    size_t n;
+  };
+  struct Segment {
+    size_t lo = 0;
+    size_t n = 0;
+  };
+  std::vector<Piece> pieces;
+  std::vector<Segment> segment(runs_s_.size());
+  mem::TrackedBuffer<uint64_t> scratch;
+
+  while (!r_walk.done() && !s_walk.done()) {
+    if (cancelled()) return;
+    const uint32_t key = r_walk.min_key();
+    const uint32_t s_key = s_walk.min_key();
+    if (key < s_key) {
+      r_walk.SkipBelow(s_key);
+      continue;
+    }
+    if (s_key < key) {
+      s_walk.SkipBelow(key);
+      continue;
+    }
+
+    // Gather the key's S sub-blocks run by run; a lone sub-block is read
+    // where it lies.
+    pieces.clear();
+    size_t total = 0;
+    s_walk.Take(key, [&](uint32_t run, const uint64_t* data, size_t n) {
+      pieces.push_back({run, data, n});
+      segment[run] = {total, n};
+      total += n;
+    });
+    const uint64_t* s = pieces.front().data;
+    if (pieces.size() > 1) {
+      if (scratch.size() < total) {
+        scratch = mem::TrackedBuffer<uint64_t>(
+            std::max(total, 2 * scratch.size()));
+      }
+      for (const Piece& p : pieces) {
+        for (size_t k = 0; k < p.n; ++k) {
+          tracer_.Access(&p.data[k], sizeof(uint64_t));
+        }
+        std::copy_n(p.data, p.n, scratch.data() + segment[p.run].lo);
+      }
+      s = scratch.data();
+    }
+
+    // Each R tuple of run i meets the gathered block in MatchSink runs of
+    // at most kMaxRun, skipping S run i's segment: those pairs were emitted
+    // when run i sealed.
+    r_walk.Take(key, [&](uint32_t run, const uint64_t* r, size_t nr) {
+      const size_t lo = segment[run].lo;
+      const size_t hi = lo + segment[run].n;
+      if (hi - lo == total) return;  // every S tuple of the key is run's own
+      for (size_t a = 0; a < nr; ++a) {
+        tracer_.Access(&r[a], sizeof(uint64_t));
+        const uint32_t r_ts = PackedTs(r[a]);
+        for (size_t b = 0; b < total; b += MatchSink::kMaxRun) {
+          const size_t n = std::min(total - b, MatchSink::kMaxRun);
+          if (b >= lo && b + n <= hi) continue;  // all of it is run's own
+          if (cancelled()) return;
+          for (size_t k = b; k < b + n; ++k) {
+            tracer_.Access(&s[k], sizeof(uint64_t));
+          }
+          sink.OnRun(key, r_ts, s + b, n,
+                     [&](size_t k) { return b + k < lo || b + k >= hi; });
+        }
+      }
+    });
+    for (const Piece& p : pieces) segment[p.run] = {};
+  }
 }
 
 template class PmjState<NullTracer>;

@@ -4,9 +4,13 @@
 // until the sorting step size δ (a fraction of the worker's expected input)
 // is reached; the accumulated subsets are then sorted and immediately
 // merge-joined (intra-run matches delivered early), and the sorted runs stay
-// in main memory. When the input is exhausted, all runs are merged and
-// cross-run matches are produced — a tagged multiway merge skips pairs from
-// the same run, which were already emitted.
+// in main memory. When the input is exhausted, the merge phase joins the
+// runs in place, one key at a time, as MPSM (Albutiu et al.) joins sorted
+// runs without merging them first: a heap over each side's run heads finds
+// the next key, and for a key present on both sides the S runs' equal-key
+// sub-blocks are gathered into one scratch block that every R tuple of the
+// key meets, skipping its own run's sub-block, whose pairs were emitted when
+// the run sealed. No merged copy of either side and no run tags are kept.
 #ifndef IAWJ_JOIN_PMJ_H_
 #define IAWJ_JOIN_PMJ_H_
 
@@ -15,7 +19,6 @@
 #include "src/join/eager_engine.h"
 #include "src/memory/tracker.h"
 #include "src/sort/avxsort.h"
-#include "src/sort/merge.h"
 
 namespace iawj {
 
@@ -24,15 +27,20 @@ class PmjState : public EagerState {
  public:
   PmjState(const EagerStateConfig& config, Tracer tracer);
 
-  void OnR(const Tuple& r, MatchSink& sink, PhaseStopwatch& sw) override;
-  void OnS(const Tuple& s, MatchSink& sink, PhaseStopwatch& sw) override;
+  void OnR(TupleBlock block, MatchSink& sink, PhaseStopwatch& sw) override;
+  void OnS(TupleBlock block, MatchSink& sink, PhaseStopwatch& sw) override;
   void Finish(MatchSink& sink, PhaseStopwatch& sw) override;
 
   size_t num_runs() const { return runs_r_.size(); }
 
  private:
-  void MaybeSealRun(MatchSink& sink, PhaseStopwatch& sw);
+  // Appends block to `side` (cur_r_ or cur_s_), sealing a run each time the
+  // current one reaches the threshold.
+  void Append(TupleBlock block, mem::TrackedBuffer<uint64_t>& side,
+              MatchSink& sink, PhaseStopwatch& sw);
   void SealRun(MatchSink& sink, PhaseStopwatch& sw);
+  // The merge phase: cross-run matches only.
+  void JoinAcrossRuns(MatchSink& sink);
 
   uint64_t run_threshold_;
   sort::Options sort_options_;

@@ -1,14 +1,16 @@
 // Symmetric Hash Join state (Wilschut & Apers; paper §3.2.1, Figure 1a).
 //
 // One hash table per input stream; an arriving tuple is inserted into its
-// own stream's table and immediately probes the opposite table. Two storage
-// modes exist for the physical-partitioning study (Figure 17): value tables
-// copy tuples into the buckets, pointer tables store references into the
-// shared input arrays and pay an indirection on every probe.
+// own stream's table and immediately probes the opposite table (here, a
+// block of arrivals at a time). Two storage modes exist for the
+// physical-partitioning study (Figure 17): value tables copy tuples into the
+// buckets, pointer tables store references into the shared input arrays and
+// pay an indirection on every probe.
 #ifndef IAWJ_JOIN_SHJ_H_
 #define IAWJ_JOIN_SHJ_H_
 
 #include <memory>
+#include <type_traits>
 
 #include "src/hash/bucket_chain.h"
 #include "src/hash/linear_probe.h"
@@ -105,146 +107,88 @@ class PointerBucketChainTable {
   int64_t tracked_bytes_;
 };
 
-// SHJ over value-storing tables (physical partitioning on).
-template <typename Tracer = NullTracer>
-class ShjValueState : public EagerState {
+// SHJ over one table per stream. Table is BucketChainTable (value tables,
+// physical partitioning on), LinearProbeTable (JoinSpec::hash_table_kind ==
+// kLinearProbe; always value-storing) or PointerBucketChainTable (physical
+// partitioning off; the default, as in the paper's §5.5 conclusion).
+//
+// A block is inserted into its own stream's table, then probes the opposite
+// table. Tuples of one stream never join each other and the opposite table
+// does not change inside the block, so each pair is found exactly once: by
+// the block of whichever of its two tuples arrived later.
+template <typename Tracer, typename Table>
+class ShjState : public EagerState {
  public:
-  ShjValueState(const EagerStateConfig& config, Tracer tracer)
-      : table_r_(config.expected_r),
-        table_s_(config.expected_s),
-        tracer_(std::move(tracer)),
-        prefetch_(config.cache_kernels) {}
-
-  void OnR(const Tuple& r, MatchSink& sink, PhaseStopwatch& sw) override {
-    sw.Switch(Phase::kBuild);
-    tracer_.SetPhase(Phase::kBuild);
-    if (prefetch_) table_s_.PrefetchProbe(r.key);
-    table_r_.Insert(r, tracer_);
-    sw.Switch(Phase::kProbe);
-    tracer_.SetPhase(Phase::kProbe);
-    table_s_.Probe(
-        r.key, [&](Tuple s) { sink.OnMatch(r.key, r.ts, s.ts); }, tracer_);
-  }
-
-  void OnS(const Tuple& s, MatchSink& sink, PhaseStopwatch& sw) override {
-    sw.Switch(Phase::kBuild);
-    tracer_.SetPhase(Phase::kBuild);
-    if (prefetch_) table_r_.PrefetchProbe(s.key);
-    table_s_.Insert(s, tracer_);
-    sw.Switch(Phase::kProbe);
-    tracer_.SetPhase(Phase::kProbe);
-    table_r_.Probe(
-        s.key, [&](Tuple r) { sink.OnMatch(s.key, r.ts, s.ts); }, tracer_);
-  }
-
- private:
-  BucketChainTable<Tracer> table_r_;
-  BucketChainTable<Tracer> table_s_;
-  Tracer tracer_;
-  // Cross-table probe prefetch (EagerStateConfig::cache_kernels).
-  bool prefetch_;
-};
-
-// SHJ over open-addressing tables (JoinSpec::hash_table_kind ==
-// kLinearProbe); always value-storing.
-template <typename Tracer = NullTracer>
-class ShjLinearState : public EagerState {
- public:
-  ShjLinearState(const EagerStateConfig& config, Tracer tracer)
+  ShjState(const EagerStateConfig& config, Tracer tracer)
       : table_r_(config.expected_r),
         table_s_(config.expected_s),
         tracer_(std::move(tracer)),
         prefetch_(config.cache_kernels),
         simd_(config.simd_probe) {}
 
-  void OnR(const Tuple& r, MatchSink& sink, PhaseStopwatch& sw) override {
-    sw.Switch(Phase::kBuild);
-    tracer_.SetPhase(Phase::kBuild);
-    if (prefetch_) table_s_.PrefetchProbe(r.key);
-    table_r_.Insert(r, tracer_);
-    sw.Switch(Phase::kProbe);
-    tracer_.SetPhase(Phase::kProbe);
-    ProbeOpposite(table_s_, r.key,
-                  [&](const Tuple& s) { sink.OnMatch(r.key, r.ts, s.ts); });
+  void OnR(TupleBlock block, MatchSink& sink, PhaseStopwatch& sw) override {
+    Arrive(block, table_r_, table_s_, sw,
+           [&](const Tuple& r, const Tuple& s) {
+             sink.OnMatch(r.key, r.ts, s.ts);
+           });
   }
 
-  void OnS(const Tuple& s, MatchSink& sink, PhaseStopwatch& sw) override {
-    sw.Switch(Phase::kBuild);
-    tracer_.SetPhase(Phase::kBuild);
-    if (prefetch_) table_r_.PrefetchProbe(s.key);
-    table_s_.Insert(s, tracer_);
-    sw.Switch(Phase::kProbe);
-    tracer_.SetPhase(Phase::kProbe);
-    ProbeOpposite(table_r_, s.key,
-                  [&](const Tuple& r) { sink.OnMatch(s.key, r.ts, s.ts); });
+  void OnS(TupleBlock block, MatchSink& sink, PhaseStopwatch& sw) override {
+    Arrive(block, table_s_, table_r_, sw,
+           [&](const Tuple& s, const Tuple& r) {
+             sink.OnMatch(s.key, r.ts, s.ts);
+           });
   }
 
  private:
-  // SHJ is one probe per arrival, so there is no batch to amortize over —
-  // but the vertical kernel still collapses the opposite table's cluster
-  // walk into one gather + compare per 8 slots (EagerStateConfig::
-  // simd_probe; false under SimTracer and on non-AVX2 hosts).
-  template <typename F>
-  void ProbeOpposite(const LinearProbeTable<Tracer>& table, uint32_t key,
-                     F&& on_match) {
-    if (simd_) {
-      kernels::SimdProbeKey(table, key, std::forward<F>(on_match));
-    } else {
-      table.Probe(key, std::forward<F>(on_match), tracer_);
+  static constexpr bool kStoresPointers =
+      std::is_same_v<Table, PointerBucketChainTable<Tracer>>;
+
+  template <typename Emit>
+  void Arrive(TupleBlock block, Table& own, const Table& other,
+              PhaseStopwatch& sw, Emit&& emit) {
+    sw.Switch(Phase::kBuild);
+    tracer_.SetPhase(Phase::kBuild);
+    for (const Tuple* t : block) {
+      // Cross-table prefetch (EagerStateConfig::cache_kernels): the probe's
+      // miss overlaps the block's build work.
+      if (prefetch_) other.PrefetchProbe(t->key);
+      if constexpr (kStoresPointers) {
+        own.Insert(t, tracer_);
+      } else {
+        own.Insert(*t, tracer_);
+      }
+    }
+    sw.Switch(Phase::kProbe);
+    tracer_.SetPhase(Phase::kProbe);
+    for (const Tuple* t : block) {
+      const auto on_match = [&](const Tuple& found) { emit(*t, found); };
+      if constexpr (kernels::kHasFlatSlots<Table>) {
+        // The AVX2 vertical probe walks the cluster one gather + compare per
+        // 8 slots (EagerStateConfig::simd_probe; false under SimTracer and
+        // on non-AVX2 hosts).
+        if (simd_) {
+          kernels::SimdProbeKey(other, t->key, on_match);
+          continue;
+        }
+      }
+      other.Probe(t->key, on_match, tracer_);
     }
   }
 
-  LinearProbeTable<Tracer> table_r_;
-  LinearProbeTable<Tracer> table_s_;
+  Table table_r_;
+  Table table_s_;
   Tracer tracer_;
-  // Cross-table probe prefetch (EagerStateConfig::cache_kernels).
   bool prefetch_;
-  // AVX2 vertical probe of the opposite table (EagerStateConfig::simd_probe).
   bool simd_;
 };
 
-// SHJ over pointer-storing tables (physical partitioning off; the default,
-// as in the paper's §5.5 conclusion).
 template <typename Tracer = NullTracer>
-class ShjPointerState : public EagerState {
- public:
-  ShjPointerState(const EagerStateConfig& config, Tracer tracer)
-      : table_r_(config.expected_r),
-        table_s_(config.expected_s),
-        tracer_(std::move(tracer)),
-        prefetch_(config.cache_kernels) {}
-
-  void OnR(const Tuple& r, MatchSink& sink, PhaseStopwatch& sw) override {
-    sw.Switch(Phase::kBuild);
-    tracer_.SetPhase(Phase::kBuild);
-    if (prefetch_) table_s_.PrefetchProbe(r.key);
-    table_r_.Insert(&r, tracer_);
-    sw.Switch(Phase::kProbe);
-    tracer_.SetPhase(Phase::kProbe);
-    table_s_.Probe(
-        r.key, [&](const Tuple& s) { sink.OnMatch(r.key, r.ts, s.ts); },
-        tracer_);
-  }
-
-  void OnS(const Tuple& s, MatchSink& sink, PhaseStopwatch& sw) override {
-    sw.Switch(Phase::kBuild);
-    tracer_.SetPhase(Phase::kBuild);
-    if (prefetch_) table_r_.PrefetchProbe(s.key);
-    table_s_.Insert(&s, tracer_);
-    sw.Switch(Phase::kProbe);
-    tracer_.SetPhase(Phase::kProbe);
-    table_r_.Probe(
-        s.key, [&](const Tuple& r) { sink.OnMatch(s.key, r.ts, s.ts); },
-        tracer_);
-  }
-
- private:
-  PointerBucketChainTable<Tracer> table_r_;
-  PointerBucketChainTable<Tracer> table_s_;
-  Tracer tracer_;
-  // Cross-table probe prefetch (EagerStateConfig::cache_kernels).
-  bool prefetch_;
-};
+using ShjValueState = ShjState<Tracer, BucketChainTable<Tracer>>;
+template <typename Tracer = NullTracer>
+using ShjLinearState = ShjState<Tracer, LinearProbeTable<Tracer>>;
+template <typename Tracer = NullTracer>
+using ShjPointerState = ShjState<Tracer, PointerBucketChainTable<Tracer>>;
 
 }  // namespace iawj
 

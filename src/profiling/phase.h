@@ -88,23 +88,31 @@ class ScopedPhase {
   std::chrono::steady_clock::time_point start_;
 };
 
-// Manual start/stop timer for phases interleaved at tuple granularity, where
-// RAII scopes would be awkward (the eager engine's pull loop).
+// Manual start/stop timer for phases interleaved at block granularity,
+// where RAII scopes would be awkward (the eager engine's pull loop and its
+// join states).
+//
+// Every phase change reads the clock once; a Switch to the phase already
+// running reads none, so callers may switch per block without checking.
+// clock_reads() counts the reads, which lets tests pin the budget.
 //
 // With a trace recorder installed the stopwatch also draws a phase timeline,
 // but at bounded granularity: an open trace span only closes when the phase
 // changes AND the span has been open at least trace::g_min_span_ns. Eager
-// loops flap phases every tuple; exact span-per-change would emit millions
-// of events, so the timeline shows the phase that *started* each ≥threshold
-// stretch while the nanosecond-exact attribution stays in PhaseProfile. The
-// event count is thereby bounded by run_duration / min_span per thread.
+// loops change phase every block; exact span-per-change would emit many
+// thousands of events, so the timeline shows the phase that *started* each
+// ≥threshold stretch while the nanosecond-exact attribution stays in
+// PhaseProfile. The event count is thereby bounded by
+// run_duration / min_span per thread.
 class PhaseStopwatch {
  public:
   explicit PhaseStopwatch(PhaseProfile* profile) : profile_(profile) {}
 
   void Switch(Phase phase) {
+    if (running_ && phase == current_) return;
     pmu::SwitchPhase(phase);  // throttled internally; see pmu.h cost model
     const auto now = std::chrono::steady_clock::now();
+    ++clock_reads_;
     if (running_) {
       profile_->AddNs(current_, static_cast<uint64_t>(
                                     std::chrono::duration_cast<
@@ -135,6 +143,7 @@ class PhaseStopwatch {
   void Stop() {
     if (!running_) return;
     const auto now = std::chrono::steady_clock::now();
+    ++clock_reads_;
     profile_->AddNs(current_,
                     static_cast<uint64_t>(
                         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -147,11 +156,14 @@ class PhaseStopwatch {
     }
   }
 
+  uint64_t clock_reads() const { return clock_reads_; }
+
  private:
   PhaseProfile* profile_;
   Phase current_ = Phase::kOther;
   std::chrono::steady_clock::time_point mark_;
   bool running_ = false;
+  uint64_t clock_reads_ = 0;
   // Trace-timeline state (meaningful only while tracing_).
   Phase span_phase_ = Phase::kOther;
   uint64_t span_start_ns_ = 0;

@@ -25,12 +25,11 @@ class LoserTree {
 
   bool Empty() const { return Exhausted(winner_); }
 
-  // Pops the smallest head element; run_index receives its source run.
-  uint64_t Pop(uint32_t* run_index) {
+  // Pops the smallest head element.
+  uint64_t Pop() {
     const size_t run = winner_;
     const uint64_t value = runs_[run].data[cursors_[run]];
     ++cursors_[run];
-    *run_index = static_cast<uint32_t>(run);
     Replay(run);
     return value;
   }
@@ -98,19 +97,7 @@ void MultiwayMerge(const std::vector<Run>& runs, uint64_t* out) {
   }
   LoserTree tree(runs);
   size_t k = 0;
-  uint32_t run_index;
-  while (!tree.Empty()) out[k++] = tree.Pop(&run_index);
-}
-
-void MultiwayMergeTagged(const std::vector<Run>& runs, uint64_t* out_values,
-                         uint32_t* out_runs) {
-  if (runs.empty()) return;
-  LoserTree tree(runs);
-  size_t k = 0;
-  while (!tree.Empty()) {
-    out_values[k] = tree.Pop(&out_runs[k]);
-    ++k;
-  }
+  while (!tree.Empty()) out[k++] = tree.Pop();
 }
 
 void MultiPassMerge(const std::vector<Run>& runs, uint64_t* out,

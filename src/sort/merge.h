@@ -2,9 +2,7 @@
 //
 // MWay (Chhugani et al.) combines all sorted runs at once with a multiway
 // merge; MPass (Balkesen et al.) instead applies successive two-way merge
-// passes. Both are provided here over packed 64-bit tuples, plus a variant
-// that carries a run id per element — PMJ's merge phase needs run provenance
-// to emit only cross-run matches.
+// passes. Both are provided here over packed 64-bit tuples.
 #ifndef IAWJ_SORT_MERGE_H_
 #define IAWJ_SORT_MERGE_H_
 
@@ -27,11 +25,6 @@ void MultiwayMerge(const std::vector<Run>& runs, uint64_t* out);
 // log2(#runs) passes of pairwise merging. `options` picks the merge kernel.
 void MultiPassMerge(const std::vector<Run>& runs, uint64_t* out,
                     const Options& options);
-
-// Multiway merge that also emits the source run index of every element.
-// out_values/out_runs are both sized to the total element count.
-void MultiwayMergeTagged(const std::vector<Run>& runs, uint64_t* out_values,
-                         uint32_t* out_runs);
 
 }  // namespace iawj::sort
 

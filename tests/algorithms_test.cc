@@ -209,7 +209,8 @@ TEST(AlgorithmKnobs, PhysicalPartitioningPreservesResults) {
     spec.eager_physical_partition = physical;
     JoinRunner runner;
     for (AlgorithmId id : {AlgorithmId::kShjJm, AlgorithmId::kShjJb,
-                           AlgorithmId::kPmjJm}) {
+                           AlgorithmId::kPmjJm, AlgorithmId::kPmjJb}) {
+      SCOPED_TRACE(AlgorithmName(id));
       const RunResult result = runner.Run(id, r, s, spec);
       EXPECT_EQ(result.matches, expected.matches);
       EXPECT_EQ(result.checksum, expected.checksum);

@@ -22,6 +22,7 @@
 #include "src/common/rng.h"
 #include "src/datagen/micro.h"
 #include "src/hash/simd_probe.h"
+#include "src/join/eager_engine.h"
 #include "src/join/reference.h"
 #include "src/join/runner.h"
 #include "src/serve/protocol.h"
@@ -174,6 +175,66 @@ TEST(DifferentialEdges, MoreThreadsThanTuples) {
   w.threads = 8;
   w.radix_bits = 6;
   ExpectAllAlgorithmsMatchReference(w);
+}
+
+// The eager pull loop takes each stream's arrivals in blocks of
+// kEagerPullBlock. Inputs one short of, exactly at, one past and one past
+// two blocks, plus a heavily duplicated few-thousand-tuple input, run under
+// the instant clock (whole blocks) and under the real-time clock over a
+// short window (arrivals cut blocks mid-stream), with and without physical
+// partitioning, over both table substrates.
+TEST(DifferentialEdges, EagerPullBlockBoundaries) {
+  Rng rng(2020);
+  struct Shape {
+    size_t n;
+    uint32_t keys;
+  };
+  const size_t block = kEagerPullBlock;
+  const Shape shapes[] = {{block - 1, 64},
+                          {block, 64},
+                          {block + 1, 64},
+                          {2 * block + 1, 64},
+                          {3000, 5}};
+  for (const Clock::Mode clock :
+       {Clock::Mode::kInstant, Clock::Mode::kRealTime}) {
+    const uint32_t window_ms = clock == Clock::Mode::kInstant ? 1000 : 25;
+    for (const Shape& shape : shapes) {
+      const Stream r =
+          MakeStream(RandomTuples(rng, shape.n, shape.keys, window_ms));
+      const Stream s =
+          MakeStream(RandomTuples(rng, shape.n, shape.keys, window_ms));
+      const ReferenceResult expected = NestedLoopJoin(r.view(), s.view());
+      for (const bool physical : {false, true}) {
+        for (const HashTableKind table_kind :
+             {HashTableKind::kBucketChain, HashTableKind::kLinearProbe}) {
+          for (const AlgorithmId id :
+               {AlgorithmId::kShjJm, AlgorithmId::kShjJb, AlgorithmId::kPmjJm,
+                AlgorithmId::kPmjJb}) {
+            SCOPED_TRACE(testing::Message()
+                         << AlgorithmName(id) << " n=" << shape.n
+                         << " keys=" << shape.keys << " realtime="
+                         << (clock == Clock::Mode::kRealTime)
+                         << " physical=" << physical << " table="
+                         << (table_kind == HashTableKind::kLinearProbe
+                                 ? "linear_probe"
+                                 : "bucket_chain"));
+            JoinSpec spec;
+            spec.num_threads = 2;
+            spec.jb_group_size = 1;  // JB partitions R by key, too
+            spec.window_ms = window_ms;
+            spec.clock_mode = clock;
+            spec.eager_physical_partition = physical;
+            spec.hash_table_kind = table_kind;
+            JoinRunner runner;
+            const RunResult result = runner.Run(id, r, s, spec);
+            ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+            EXPECT_EQ(result.matches, expected.matches);
+            EXPECT_EQ(result.checksum, expected.checksum);
+          }
+        }
+      }
+    }
+  }
 }
 
 // The knob plumbing itself: auto defers to the environment, spec wins over

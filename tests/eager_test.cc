@@ -2,6 +2,7 @@
 // states, stalling behaviour, and the traced (cache-sim) variants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -27,6 +28,37 @@ struct StateHarness {
   PhaseStopwatch sw;
 };
 
+// Pointers to every tuple, for handing them to a state as blocks.
+std::vector<const Tuple*> Pointers(const std::vector<Tuple>& tuples) {
+  std::vector<const Tuple*> out;
+  out.reserve(tuples.size());
+  for (const Tuple& t : tuples) out.push_back(&t);
+  return out;
+}
+
+// Feeds r and s in alternating blocks of at most `block` tuples, R first,
+// the way the pull loop does.
+void FeedAlternating(EagerState& state, const std::vector<Tuple>& r,
+                     const std::vector<Tuple>& s, size_t block,
+                     StateHarness& h) {
+  const std::vector<const Tuple*> rp = Pointers(r);
+  const std::vector<const Tuple*> sp = Pointers(s);
+  for (size_t i = 0; i < std::max(rp.size(), sp.size()); i += block) {
+    if (i < rp.size()) {
+      state.OnR(TupleBlock(rp).subspan(i, std::min(block, rp.size() - i)),
+                h.sink, h.sw);
+    }
+    if (i < sp.size()) {
+      state.OnS(TupleBlock(sp).subspan(i, std::min(block, sp.size() - i)),
+                h.sink, h.sw);
+    }
+  }
+}
+
+std::vector<Tuple> SameKey(size_t n, uint32_t key) {
+  return std::vector<Tuple>(n, Tuple{.ts = 0, .key = key});
+}
+
 TEST(PmjStateTest, SealsRunsAtDeltaAndFindsCrossRunMatches) {
   StateHarness h;
   EagerStateConfig config;
@@ -37,15 +69,13 @@ TEST(PmjStateTest, SealsRunsAtDeltaAndFindsCrossRunMatches) {
 
   // 1st run: key 1 on R side only. 2nd run: key 1 on S side only.
   // The match can only be found by the cross-run merge in Finish().
-  for (int i = 0; i < 100; ++i) {
-    state.OnR(Tuple{.ts = 0, .key = 1}, h.sink, h.sw);
-  }
+  const std::vector<Tuple> r = SameKey(100, 1);
+  state.OnR(Pointers(r), h.sink, h.sw);
   EXPECT_EQ(state.num_runs(), 1u);
   EXPECT_EQ(h.sink.count(), 0u);  // no S tuples yet
 
-  for (int i = 0; i < 100; ++i) {
-    state.OnS(Tuple{.ts = 0, .key = 1}, h.sink, h.sw);
-  }
+  const std::vector<Tuple> s = SameKey(100, 1);
+  state.OnS(Pointers(s), h.sink, h.sw);
   EXPECT_EQ(state.num_runs(), 2u);
   EXPECT_EQ(h.sink.count(), 0u);  // still: runs never met
 
@@ -60,11 +90,11 @@ TEST(PmjStateTest, IntraRunMatchesEmittedEagerly) {
   config.expected_s = 50;
   config.pmj_delta = 1.0;  // threshold = 100: everything is one run
   PmjState<NullTracer> state(config, NullTracer{});
-  for (int i = 0; i < 50; ++i) {
-    state.OnR(Tuple{.ts = 0, .key = 9}, h.sink, h.sw);
-    state.OnS(Tuple{.ts = 0, .key = 9}, h.sink, h.sw);
-  }
+  const std::vector<Tuple> r = SameKey(50, 9);
+  const std::vector<Tuple> s = SameKey(50, 9);
+  FeedAlternating(state, r, s, 10, h);
   // The 100th tuple triggers the seal, which merge-joins the run.
+  EXPECT_EQ(state.num_runs(), 1u);
   EXPECT_EQ(h.sink.count(), 50u * 50u);
   state.Finish(h.sink, h.sw);
   EXPECT_EQ(h.sink.count(), 50u * 50u);  // nothing double counted
@@ -78,16 +108,125 @@ TEST(PmjStateTest, TinyDeltaProducesManyRuns) {
   config.pmj_delta = 0.01;  // threshold = 200
   PmjState<NullTracer> state(config, NullTracer{});
   Rng rng(1);
+  std::vector<Tuple> r, s;
   for (int i = 0; i < 2000; ++i) {
     const Tuple t{.ts = 0, .key = static_cast<uint32_t>(rng.NextBounded(50))};
-    if (i % 2 == 0) {
-      state.OnR(t, h.sink, h.sw);
-    } else {
-      state.OnS(t, h.sink, h.sw);
-    }
+    (i % 2 == 0 ? r : s).push_back(t);
   }
+  FeedAlternating(state, r, s, 64, h);
   state.Finish(h.sink, h.sw);
   EXPECT_GE(state.num_runs(), 9u);
+  const ReferenceResult expected = NestedLoopJoin(r, s);
+  EXPECT_EQ(h.sink.count(), expected.matches);
+  EXPECT_EQ(h.sink.checksum(), expected.checksum);
+}
+
+// δ = 0.01 seals a run every 100 tuples here, so nearly every pair is
+// found by the cross-run merge phase: over unique keys each key's two
+// tuples almost always lie in different runs; over one hot key most runs
+// hold a sub-block of the key, and the key's 9,000 gathered S tuples span
+// three MatchSink runs, so runs' own segments straddle chunk edges.
+TEST(PmjStateTest, ManyRunsMatchNestedLoop) {
+  Rng rng(5);
+  std::vector<uint32_t> keys(5000);
+  for (uint32_t k = 0; k < keys.size(); ++k) keys[k] = k;
+  const auto shuffled = [&] {
+    std::vector<uint32_t> out = keys;
+    for (size_t i = out.size() - 1; i > 0; --i) {
+      std::swap(out[i], out[rng.NextBounded(i + 1)]);
+    }
+    return out;
+  };
+  const auto with_keys = [&](const std::vector<uint32_t>& ks) {
+    std::vector<Tuple> out;
+    for (uint32_t k : ks) {
+      out.push_back({.ts = static_cast<uint32_t>(rng.NextBounded(1000)),
+                     .key = k});
+    }
+    return out;
+  };
+  struct Case {
+    const char* name;
+    std::vector<Tuple> r, s;
+  };
+  const std::vector<Case> cases = {
+      {"unique", with_keys(shuffled()), with_keys(shuffled())},
+      {"hot", with_keys(std::vector<uint32_t>(1000, 7)),
+       with_keys(std::vector<uint32_t>(9000, 7))},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    StateHarness h;
+    EagerStateConfig config;
+    config.expected_r = 5000;
+    config.expected_s = 5000;
+    config.pmj_delta = 0.01;  // threshold = 100
+    PmjState<NullTracer> state(config, NullTracer{});
+    FeedAlternating(state, c.r, c.s, kEagerPullBlock, h);
+    state.Finish(h.sink, h.sw);
+    EXPECT_EQ(state.num_runs(), (c.r.size() + c.s.size()) / 100);
+    const ReferenceResult expected = NestedLoopJoin(c.r, c.s);
+    EXPECT_EQ(h.sink.count(), expected.matches);
+    EXPECT_EQ(h.sink.checksum(), expected.checksum);
+  }
+}
+
+// The stopwatch reads the clock per phase change, and a state changes phase
+// a constant number of times per block (PMJ: per sealed run), not per tuple.
+TEST(PmjStateTest, OneBlockCostsConstantClockReads) {
+  Rng rng(3);
+  std::vector<Tuple> block(10000);
+  for (Tuple& t : block) {
+    t = {.ts = 0, .key = static_cast<uint32_t>(rng.NextBounded(100))};
+  }
+  const std::vector<const Tuple*> pointers = Pointers(block);
+  // δ = 1 never seals inside the 20,000 tuples; δ = 0.01 seals a run every
+  // 2,000 tuples, at one sort, one probe and one build switch each.
+  for (const double delta : {1.0, 0.01}) {
+    SCOPED_TRACE(delta);
+    StateHarness h;
+    EagerStateConfig config;
+    config.expected_r = 100000;
+    config.expected_s = 100000;
+    config.pmj_delta = delta;
+    PmjState<NullTracer> state(config, NullTracer{});
+    state.OnR(pointers, h.sink, h.sw);
+    state.OnS(pointers, h.sink, h.sw);
+    EXPECT_LE(h.sw.clock_reads(), 1 + 3 * state.num_runs());
+  }
+}
+
+TEST(ShjStateTest, OneBlockCostsConstantClockReads) {
+  Rng rng(4);
+  std::vector<Tuple> block(10000);
+  for (Tuple& t : block) {
+    t = {.ts = 0, .key = static_cast<uint32_t>(rng.NextBounded(100))};
+  }
+  const std::vector<const Tuple*> pointers = Pointers(block);
+  EagerStateConfig config;
+  config.expected_r = block.size();
+  config.expected_s = block.size();
+  const uint64_t matches = NestedLoopJoin(block, block).matches;
+  const auto check = [&](EagerState&& state) {
+    StateHarness h;
+    state.OnR(pointers, h.sink, h.sw);
+    EXPECT_EQ(h.sw.clock_reads(), 2u);  // build, then probe
+    state.OnS(pointers, h.sink, h.sw);
+    EXPECT_EQ(h.sw.clock_reads(), 4u);
+    EXPECT_EQ(h.sink.count(), matches);
+  };
+  {
+    SCOPED_TRACE("value");
+    check(ShjValueState<NullTracer>(config, NullTracer{}));
+  }
+  {
+    SCOPED_TRACE("pointer");
+    check(ShjPointerState<NullTracer>(config, NullTracer{}));
+  }
+  {
+    SCOPED_TRACE("linear");
+    check(ShjLinearState<NullTracer>(config, NullTracer{}));
+  }
 }
 
 TEST(ShjStateTest, ValueAndPointerStatesAgree) {
@@ -107,23 +246,22 @@ TEST(ShjStateTest, ValueAndPointerStatesAgree) {
   config.expected_r = r.size();
   config.expected_s = s.size();
 
-  StateHarness hv;
-  ShjValueState<NullTracer> value_state(config, NullTracer{});
-  for (size_t i = 0; i < r.size(); ++i) {
-    value_state.OnR(r[i], hv.sink, hv.sw);
-    value_state.OnS(s[i], hv.sink, hv.sw);
-  }
-  EXPECT_EQ(hv.sink.count(), expected.matches);
-  EXPECT_EQ(hv.sink.checksum(), expected.checksum);
+  // Block sizes of one tuple (the pull loop's old granularity), an odd
+  // size and the pull loop's own.
+  for (const size_t block : {size_t{1}, size_t{37}, kEagerPullBlock}) {
+    SCOPED_TRACE(block);
+    StateHarness hv;
+    ShjValueState<NullTracer> value_state(config, NullTracer{});
+    FeedAlternating(value_state, r, s, block, hv);
+    EXPECT_EQ(hv.sink.count(), expected.matches);
+    EXPECT_EQ(hv.sink.checksum(), expected.checksum);
 
-  StateHarness hp;
-  ShjPointerState<NullTracer> pointer_state(config, NullTracer{});
-  for (size_t i = 0; i < r.size(); ++i) {
-    pointer_state.OnR(r[i], hp.sink, hp.sw);
-    pointer_state.OnS(s[i], hp.sink, hp.sw);
+    StateHarness hp;
+    ShjPointerState<NullTracer> pointer_state(config, NullTracer{});
+    FeedAlternating(pointer_state, r, s, block, hp);
+    EXPECT_EQ(hp.sink.count(), expected.matches);
+    EXPECT_EQ(hp.sink.checksum(), expected.checksum);
   }
-  EXPECT_EQ(hp.sink.count(), expected.matches);
-  EXPECT_EQ(hp.sink.checksum(), expected.checksum);
 }
 
 TEST(EagerEngine, StallsWhenConsumingFasterThanArrival) {

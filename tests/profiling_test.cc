@@ -51,6 +51,28 @@ TEST(PhaseStopwatch, SwitchAttributesToCurrentPhase) {
   sw.Stop();
 }
 
+TEST(PhaseStopwatch, SwitchToTheRunningPhaseReadsNoClock) {
+  PhaseProfile profile;
+  PhaseStopwatch sw(&profile);
+  sw.Switch(Phase::kBuild);
+  EXPECT_EQ(sw.clock_reads(), 1u);
+  for (int i = 0; i < 1000; ++i) sw.Switch(Phase::kBuild);
+  EXPECT_EQ(sw.clock_reads(), 1u);
+  sw.Switch(Phase::kProbe);
+  EXPECT_EQ(sw.clock_reads(), 2u);
+  sw.Stop();
+  EXPECT_EQ(sw.clock_reads(), 3u);
+  sw.Stop();
+  EXPECT_EQ(sw.clock_reads(), 3u);
+  // After a stop the same phase starts timing again.
+  sw.Switch(Phase::kProbe);
+  EXPECT_EQ(sw.clock_reads(), 4u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  sw.Switch(Phase::kProbe);
+  sw.Stop();
+  EXPECT_GE(profile.GetNs(Phase::kProbe), 1'000'000u);
+}
+
 TEST(PhaseNames, AllDistinct) {
   EXPECT_EQ(PhaseName(Phase::kWait), "wait");
   EXPECT_EQ(PhaseName(Phase::kPartition), "partition");

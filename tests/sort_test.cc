@@ -184,22 +184,6 @@ TEST(MultiwayMerge, SingleAndEmptyRuns) {
   EXPECT_EQ(out, run);
 }
 
-TEST(MultiwayMergeTagged, TagsIdentifySourceRun) {
-  std::vector<uint64_t> a = {PackTuple({.ts = 0, .key = 1}),
-                             PackTuple({.ts = 0, .key = 5})};
-  std::vector<uint64_t> b = {PackTuple({.ts = 0, .key = 3})};
-  std::vector<sort::Run> runs = {{a.data(), a.size()}, {b.data(), b.size()}};
-  std::vector<uint64_t> values(3);
-  std::vector<uint32_t> tags(3);
-  sort::MultiwayMergeTagged(runs, values.data(), tags.data());
-  EXPECT_EQ(PackedKey(values[0]), 1u);
-  EXPECT_EQ(tags[0], 0u);
-  EXPECT_EQ(PackedKey(values[1]), 3u);
-  EXPECT_EQ(tags[1], 1u);
-  EXPECT_EQ(PackedKey(values[2]), 5u);
-  EXPECT_EQ(tags[2], 0u);
-}
-
 TEST(MultiPassMerge, MatchesMultiwayResult) {
   for (size_t num_runs : {1, 2, 3, 4, 5, 8}) {
     std::vector<std::vector<uint64_t>> runs_data;
