@@ -102,7 +102,8 @@ class BucketChainTable {
 
   Bucket* AllocOverflow() {
     if (chunk_used_ == kChunkBuckets || chunks_.empty()) {
-      chunks_.push_back(std::make_unique<Bucket[]>(kChunkBuckets));
+      chunks_.push_back(
+          std::make_unique_for_overwrite<Bucket[]>(kChunkBuckets));
       chunk_used_ = 0;
       const auto bytes =
           static_cast<int64_t>(kChunkBuckets * sizeof(Bucket));

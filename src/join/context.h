@@ -121,14 +121,22 @@ struct JoinSpec {
   Status Validate(AlgorithmId id) const;
 };
 
+// Which input a MatchSink run's single tuple comes from. A run is one
+// leading tuple against a packed block of the other input's tuples of its
+// key.
+enum class Lead { kR, kS };
+
 // Per-worker match collector. Never materializes matches: constant memory
 // regardless of result cardinality (§4.2.2's profiling methodology).
 //
-// Stamp rule: matches are recorded in runs, and a run reads the clock once,
-// at its first accepted match. A run is one R tuple's matches against at
-// most kMaxRun equal-key S tuples and never spans a wait for input, so a
-// stamp is at most one run old. The merge joins record runs (OnRun); hash
-// probes record runs of one (OnMatch), so each of their matches is stamped.
+// Stamp rule: matches are recorded in runs. A run is one tuple's matches
+// against at most kMaxRun equal-key tuples of the other input, and the
+// merge joins let the side with fewer tuples of that key lead. Under the
+// instant clock a run is counted first and stamped once afterwards; under
+// the real-time clock it is stamped at its first accepted match. A run
+// never spans a wait for input, so a stamp is at most one run old. The
+// merge joins record runs (OnRun); hash probes record runs of one
+// (OnMatch), so each of their matches is stamped.
 //
 // Latency is match time minus the arrival of the match's later input
 // (§4.1). With the instant clock every input "arrived" at time zero, so
@@ -143,29 +151,47 @@ class alignas(64) MatchSink {
 
   void Bind(const Clock* clock) { clock_ = clock; }
 
-  // Records R tuple (key, r_ts) matched with each packed S tuple s[b] of
-  // the same key, b < n <= kMaxRun, for which accept(b) holds.
-  template <typename Accept>
-  void OnRun(uint32_t key, uint32_t r_ts, const uint64_t* s, size_t n,
+  // Records the leading tuple (key, lead_ts), an R tuple under Lead::kR and
+  // an S tuple under Lead::kS, matched with each packed tuple other[b] of
+  // the other input and the same key, b < n <= kMaxRun, for which
+  // accept(b) holds. Each pair adds MatchChecksum(key, r_ts, s_ts)
+  // whichever side leads.
+  template <Lead kLead = Lead::kR, typename Accept>
+  void OnRun(uint32_t key, uint32_t lead_ts, const uint64_t* other, size_t n,
              Accept&& accept) {
-    const bool real_time = clock_->mode() == Clock::Mode::kRealTime;
+    const auto term = [key, lead_ts](uint64_t packed) {
+      const uint32_t ts = PackedTs(packed);
+      return kLead == Lead::kR ? MatchChecksum(key, lead_ts, ts)
+                               : MatchChecksum(key, ts, lead_ts);
+    };
     uint64_t count = 0;
     uint64_t checksum = 0;
     double now = 0;
-    for (size_t b = 0; b < n; ++b) {
-      if (!accept(b)) continue;
-      const uint32_t s_ts = PackedTs(s[b]);
-      if (count++ == 0) now = clock_->NowMs();
-      checksum += MatchChecksum(key, r_ts, s_ts);
-      if (real_time) {
-        latency_.RecordMs(now - static_cast<double>(std::max(r_ts, s_ts)));
+    if (clock_->mode() == Clock::Mode::kRealTime) {
+      for (size_t b = 0; b < n; ++b) {
+        if (!accept(b)) continue;
+        if (count++ == 0) now = clock_->NowMs();
+        checksum += term(other[b]);
+        latency_.RecordMs(
+            now - static_cast<double>(std::max(lead_ts, PackedTs(other[b]))));
       }
+      if (count == 0) return;
+    } else {
+      // No branch, clock read or histogram call inside: the loop
+      // vectorizes, and the run is stamped once it is counted.
+      for (size_t b = 0; b < n; ++b) {
+        const uint64_t take = accept(b) ? ~uint64_t{0} : 0;
+        checksum += take & term(other[b]);
+        count += take & 1;
+      }
+      if (count == 0) return;
+      now = clock_->NowMs();
+      latency_.RecordMs(now, count);
     }
-    if (count == 0) return;
+    ++runs_;
     count_ += count;
     checksum_ += checksum;
     progress_.Record(now, count);
-    if (!real_time) latency_.RecordMs(now, count);
     if (now > last_match_ms_) last_match_ms_ = now;
   }
 
@@ -177,6 +203,8 @@ class alignas(64) MatchSink {
 
   uint64_t count() const { return count_; }
   uint64_t checksum() const { return checksum_; }
+  // Runs recorded with at least one match: one clock read each.
+  uint64_t runs() const { return runs_; }
   double last_match_ms() const { return last_match_ms_; }
   const ProgressRecorder& progress() const { return progress_; }
   const LatencyHistogram& latency() const { return latency_; }
@@ -185,6 +213,7 @@ class alignas(64) MatchSink {
   const Clock* clock_ = nullptr;
   uint64_t count_ = 0;
   uint64_t checksum_ = 0;
+  uint64_t runs_ = 0;
   double last_match_ms_ = 0;
   ProgressRecorder progress_;
   LatencyHistogram latency_;

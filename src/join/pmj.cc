@@ -1,6 +1,7 @@
 #include "src/join/pmj.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "src/join/merge_join.h"
 
@@ -117,6 +118,67 @@ class RunWalk {
   std::vector<Head> heap_;
 };
 
+// One side's sub-block of the current key in one run.
+struct Piece {
+  uint32_t run;
+  const uint64_t* data;
+  size_t n;
+};
+
+// A run's segment [lo, lo + n) of a gathered block.
+struct Segment {
+  size_t lo = 0;
+  size_t n = 0;
+};
+
+// Joins one key present on both sides' runs. Gathers `other`'s sub-blocks
+// run by run into one block, noting each run's segment [lo, hi). Each tuple
+// of `lead` from run i then meets every tuple of the block outside run i's
+// segment: the pairs inside it were emitted when run i sealed. The block is
+// laid out twice over in `scratch`, so that run i's complement is the one
+// span [hi, lo + other_total); a lone sub-block is read where it lies,
+// since no leading run owns a segment of it. `segment` is indexed by run
+// and left cleared. Returns false when cancelled.
+template <Lead kLead, typename Tracer>
+bool JoinKey(uint32_t key, const std::vector<Piece>& lead,
+             const std::vector<Piece>& other, size_t other_total,
+             std::vector<Segment>& segment,
+             mem::TrackedBuffer<uint64_t>& scratch, MatchSink& sink,
+             Tracer& tracer, const CancelToken* cancel) {
+  size_t lo = 0;
+  for (const Piece& p : other) {
+    segment[p.run] = {lo, p.n};
+    lo += p.n;
+  }
+  const uint64_t* block = other.front().data;
+  if (other.size() > 1) {
+    if (scratch.size() < 2 * other_total) {
+      scratch = mem::TrackedBuffer<uint64_t>(
+          std::max(2 * other_total, 2 * scratch.size()));
+    }
+    for (const Piece& p : other) {
+      for (size_t k = 0; k < p.n; ++k) {
+        tracer.Access(&p.data[k], sizeof(uint64_t));
+      }
+      uint64_t* dst = scratch.data() + segment[p.run].lo;
+      std::copy_n(p.data, p.n, dst);
+      std::copy_n(p.data, p.n, dst + other_total);
+    }
+    block = scratch.data();
+  }
+
+  bool done = true;
+  for (const Piece& p : lead) {
+    const Segment own = segment[p.run];
+    if (own.n == other_total) continue;  // every other tuple is the run's own
+    done = JoinLedBlock<kLead>(key, p.data, p.n, block + own.lo + own.n,
+                               other_total - own.n, sink, tracer, cancel);
+    if (!done) break;
+  }
+  for (const Piece& p : other) segment[p.run] = {};
+  return done;
+}
+
 }  // namespace
 
 template <typename Tracer>
@@ -169,7 +231,7 @@ void PmjState<Tracer>::SealRun(MatchSink& sink, PhaseStopwatch& sw) {
   sw.Switch(Phase::kProbe);
   tracer_.SetPhase(Phase::kProbe);
   MergeJoin(cur_r_.data(), cur_r_.size(), cur_s_.data(), cur_s_.size(), sink,
-            tracer_, cancel_, [](size_t, size_t) { return true; });
+            tracer_, cancel_);
 
   runs_r_.push_back(std::move(cur_r_));
   runs_s_.push_back(std::move(cur_s_));
@@ -191,29 +253,16 @@ void PmjState<Tracer>::Finish(MatchSink& sink, PhaseStopwatch& sw) {
 
 template <typename Tracer>
 void PmjState<Tracer>::JoinAcrossRuns(MatchSink& sink) {
-  const auto cancelled = [this] {
-    return cancel_ != nullptr && cancel_->cancelled();
-  };
   RunWalk<Tracer> r_walk(runs_r_, tracer_);
   RunWalk<Tracer> s_walk(runs_s_, tracer_);
 
-  // The current key's S sub-blocks: pieces[] in gather order, and each
-  // run's segment [lo, lo + n) of the gathered block.
-  struct Piece {
-    uint32_t run;
-    const uint64_t* data;
-    size_t n;
-  };
-  struct Segment {
-    size_t lo = 0;
-    size_t n = 0;
-  };
-  std::vector<Piece> pieces;
-  std::vector<Segment> segment(runs_s_.size());
+  std::vector<Piece> r_pieces;
+  std::vector<Piece> s_pieces;
+  std::vector<Segment> segment(runs_r_.size());
   mem::TrackedBuffer<uint64_t> scratch;
 
   while (!r_walk.done() && !s_walk.done()) {
-    if (cancelled()) return;
+    if (cancel_ != nullptr && cancel_->cancelled()) return;
     const uint32_t key = r_walk.min_key();
     const uint32_t s_key = s_walk.min_key();
     if (key < s_key) {
@@ -225,53 +274,26 @@ void PmjState<Tracer>::JoinAcrossRuns(MatchSink& sink) {
       continue;
     }
 
-    // Gather the key's S sub-blocks run by run; a lone sub-block is read
-    // where it lies.
-    pieces.clear();
-    size_t total = 0;
-    s_walk.Take(key, [&](uint32_t run, const uint64_t* data, size_t n) {
-      pieces.push_back({run, data, n});
-      segment[run] = {total, n};
-      total += n;
-    });
-    const uint64_t* s = pieces.front().data;
-    if (pieces.size() > 1) {
-      if (scratch.size() < total) {
-        scratch = mem::TrackedBuffer<uint64_t>(
-            std::max(total, 2 * scratch.size()));
-      }
-      for (const Piece& p : pieces) {
-        for (size_t k = 0; k < p.n; ++k) {
-          tracer_.Access(&p.data[k], sizeof(uint64_t));
-        }
-        std::copy_n(p.data, p.n, scratch.data() + segment[p.run].lo);
-      }
-      s = scratch.data();
-    }
-
-    // Each R tuple of run i meets the gathered block in MatchSink runs of
-    // at most kMaxRun, skipping S run i's segment: those pairs were emitted
-    // when run i sealed.
-    r_walk.Take(key, [&](uint32_t run, const uint64_t* r, size_t nr) {
-      const size_t lo = segment[run].lo;
-      const size_t hi = lo + segment[run].n;
-      if (hi - lo == total) return;  // every S tuple of the key is run's own
-      for (size_t a = 0; a < nr; ++a) {
-        tracer_.Access(&r[a], sizeof(uint64_t));
-        const uint32_t r_ts = PackedTs(r[a]);
-        for (size_t b = 0; b < total; b += MatchSink::kMaxRun) {
-          const size_t n = std::min(total - b, MatchSink::kMaxRun);
-          if (b >= lo && b + n <= hi) continue;  // all of it is run's own
-          if (cancelled()) return;
-          for (size_t k = b; k < b + n; ++k) {
-            tracer_.Access(&s[k], sizeof(uint64_t));
-          }
-          sink.OnRun(key, r_ts, s + b, n,
-                     [&](size_t k) { return b + k < lo || b + k >= hi; });
-        }
-      }
-    });
-    for (const Piece& p : pieces) segment[p.run] = {};
+    // Both sides' sub-blocks of the key, run by run; the side with fewer
+    // tuples of the key leads, R on ties.
+    const auto take = [key](RunWalk<Tracer>& walk, std::vector<Piece>& pieces) {
+      pieces.clear();
+      size_t total = 0;
+      walk.Take(key, [&](uint32_t run, const uint64_t* data, size_t n) {
+        pieces.push_back({run, data, n});
+        total += n;
+      });
+      return total;
+    };
+    const size_t s_total = take(s_walk, s_pieces);
+    const size_t r_total = take(r_walk, r_pieces);
+    const bool done =
+        r_total <= s_total
+            ? JoinKey<Lead::kR>(key, r_pieces, s_pieces, s_total, segment,
+                                scratch, sink, tracer_, cancel_)
+            : JoinKey<Lead::kS>(key, s_pieces, r_pieces, r_total, segment,
+                                scratch, sink, tracer_, cancel_);
+    if (!done) return;
   }
 }
 

@@ -7,10 +7,12 @@
 // in main memory. When the input is exhausted, the merge phase joins the
 // runs in place, one key at a time, as MPSM (Albutiu et al.) joins sorted
 // runs without merging them first: a heap over each side's run heads finds
-// the next key, and for a key present on both sides the S runs' equal-key
-// sub-blocks are gathered into one scratch block that every R tuple of the
-// key meets, skipping its own run's sub-block, whose pairs were emitted when
-// the run sealed. No merged copy of either side and no run tags are kept.
+// the next key. For a key present on both sides, the side with more tuples
+// of the key has its runs' equal-key sub-blocks gathered into one scratch
+// block, and every tuple of the other side meets that block except its own
+// run's sub-block, whose pairs were emitted when the run sealed. Under JM
+// every worker holds all of R and a share of S, so S leads. No merged copy
+// of either side and no run tags are kept.
 #ifndef IAWJ_JOIN_PMJ_H_
 #define IAWJ_JOIN_PMJ_H_
 

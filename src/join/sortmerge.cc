@@ -367,7 +367,7 @@ void SortMergeJoin<Tracer>::RunWorker(const JoinContext& ctx, int worker) {
       const size_t s_begin = probe_split_s_[t];
       MergeJoin(final_r_ + r_begin, probe_split_r_[t + 1] - r_begin,
                 final_s_ + s_begin, probe_split_s_[t + 1] - s_begin, sink,
-                tracer, ctx.cancel, [](size_t, size_t) { return true; });
+                tracer, ctx.cancel);
     };
     if (morsel_) {
       ChunkRange task;

@@ -237,6 +237,54 @@ TEST(DifferentialEdges, EagerPullBlockBoundaries) {
   }
 }
 
+// Lopsided windows: R:S of 1:20 and 20:1 at dupe 50 put two or three
+// tuples of each key on the small side and about fifty on the large one,
+// so the small side leads every equal-key block, at every PMJ seal and in
+// its merge phase. The merge joins run them under both kernel modes, under
+// the instant clock and under the real-time clock over a short window.
+TEST(DifferentialEdges, LopsidedWindowsSmallerSideLeads) {
+  struct Shape {
+    uint64_t size_r;
+    uint64_t size_s;
+  };
+  for (const Shape shape : {Shape{200, 4000}, Shape{4000, 200}}) {
+    for (const Clock::Mode clock :
+         {Clock::Mode::kInstant, Clock::Mode::kRealTime}) {
+      MicroSpec micro;
+      micro.size_r = shape.size_r;
+      micro.size_s = shape.size_s;
+      micro.window_ms = clock == Clock::Mode::kInstant ? 1000 : 25;
+      micro.dupe = 50;
+      micro.seed = 21;
+      const MicroWorkload w = GenerateMicro(micro);
+      const ReferenceResult expected = NestedLoopJoin(w.r.view(), w.s.view());
+      ASSERT_GT(expected.matches, 0u);
+      for (const KernelMode mode : kAllKernelModes) {
+        for (const AlgorithmId id :
+             {AlgorithmId::kMway, AlgorithmId::kMpass, AlgorithmId::kPmjJm,
+              AlgorithmId::kPmjJb}) {
+          SCOPED_TRACE(testing::Message()
+                       << AlgorithmName(id) << " r=" << shape.size_r
+                       << " s=" << shape.size_s
+                       << " kernels=" << KernelModeName(mode) << " realtime="
+                       << (clock == Clock::Mode::kRealTime));
+          JoinSpec spec;
+          spec.num_threads = 4;
+          spec.jb_group_size = 2;
+          spec.window_ms = micro.window_ms;
+          spec.clock_mode = clock;
+          spec.kernels = mode;
+          JoinRunner runner;
+          const RunResult result = runner.Run(id, w.r, w.s, spec);
+          ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+          EXPECT_EQ(result.matches, expected.matches);
+          EXPECT_EQ(result.checksum, expected.checksum);
+        }
+      }
+    }
+  }
+}
+
 // The knob plumbing itself: auto defers to the environment, spec wins over
 // everything, and tracing always forces scalar kernels.
 TEST(KernelModeResolution, SpecEnvAndTracerPrecedence) {

@@ -124,8 +124,9 @@ TEST(PmjStateTest, TinyDeltaProducesManyRuns) {
 // δ = 0.01 seals a run every 100 tuples here, so nearly every pair is
 // found by the cross-run merge phase: over unique keys each key's two
 // tuples almost always lie in different runs; over one hot key most runs
-// hold a sub-block of the key, and the key's 9,000 gathered S tuples span
-// three MatchSink runs, so runs' own segments straddle chunk edges.
+// hold a sub-block of the key, and each R tuple meets the 9,000 gathered S
+// tuples outside its own run's segment in three MatchSink runs, whose
+// edges fall anywhere in that complement.
 TEST(PmjStateTest, ManyRunsMatchNestedLoop) {
   Rng rng(5);
   std::vector<uint32_t> keys(5000);
@@ -169,6 +170,49 @@ TEST(PmjStateTest, ManyRunsMatchNestedLoop) {
     EXPECT_EQ(h.sink.count(), expected.matches);
     EXPECT_EQ(h.sink.checksum(), expected.checksum);
   }
+}
+
+// Every equal-key block, at a seal and in the merge phase, is led by the
+// side with fewer tuples of its key, so a state's runs scale with each
+// key's smaller side. Key 1 is R-heavy (2,000 R tuples against 20 S) and
+// key 2 S-heavy (the reverse); δ = 0.01 seals a run every 100 tuples, so
+// most pairs meet in the merge phase. Each key's 20 tuples lead at most one
+// run at their seal and one in the merge phase. Led by R, key 1 would cost
+// a run per R tuple of every seal that holds its S tuples, and another per
+// R tuple in the merge phase.
+TEST(PmjStateTest, SmallerSideLeadsLopsidedKeys) {
+  Rng rng(8);
+  const auto tuples = [&](size_t n1, size_t n2) {
+    std::vector<Tuple> out;
+    for (size_t i = 0; i < n1 + n2; ++i) {
+      out.push_back({.ts = static_cast<uint32_t>(rng.NextBounded(1000)),
+                     .key = i < n1 ? 1u : 2u});
+    }
+    for (size_t i = out.size() - 1; i > 0; --i) {
+      std::swap(out[i], out[rng.NextBounded(i + 1)]);
+    }
+    return out;
+  };
+  const std::vector<Tuple> r = tuples(2000, 20);
+  const std::vector<Tuple> s = tuples(20, 2000);
+
+  StateHarness h;
+  EagerStateConfig config;
+  config.expected_r = 5000;
+  config.expected_s = 5000;
+  config.pmj_delta = 0.01;  // threshold = 100
+  PmjState<NullTracer> state(config, NullTracer{});
+  FeedAlternating(state, r, s, 50, h);
+  state.Finish(h.sink, h.sw);
+  EXPECT_EQ(state.num_runs(), 41u);  // 40 full, and Finish seals 40 tuples
+
+  const ReferenceResult expected = NestedLoopJoin(r, s);
+  EXPECT_EQ(h.sink.count(), expected.matches);
+  EXPECT_EQ(h.sink.checksum(), expected.checksum);
+  // The merge phase alone: each of the two keys' 20 leading tuples meets
+  // the other side's tuples outside its own run in exactly one run.
+  EXPECT_GE(h.sink.runs(), 2u * 20);
+  EXPECT_LE(h.sink.runs(), 2u * (20 + 20));
 }
 
 // The stopwatch reads the clock per phase change, and a state changes phase

@@ -3,9 +3,12 @@
 // spec validation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/datagen/micro.h"
+#include "src/join/merge_join.h"
 #include "src/join/reference.h"
 #include "src/join/runner.h"
 
@@ -258,6 +261,7 @@ TEST(MatchSink, AcceptFiltersRunMatches) {
   none.OnRun(9, 5, s.data(), s.size(), [](size_t) { return false; });
   EXPECT_EQ(none.count(), 0u);
   EXPECT_EQ(none.checksum(), 0u);
+  EXPECT_EQ(none.runs(), 0u);
   EXPECT_EQ(none.latency().count(), 0u);
   EXPECT_EQ(none.progress().total(), 0u);
   EXPECT_EQ(none.last_match_ms(), 0);
@@ -268,8 +272,112 @@ TEST(MatchSink, AcceptFiltersRunMatches) {
   }
   EXPECT_EQ(even.count(), 50u);
   EXPECT_EQ(even.checksum(), singles.checksum());
+  EXPECT_EQ(even.runs(), 1u);
+  EXPECT_EQ(singles.runs(), 50u);
   EXPECT_EQ(even.latency().count(), 50u);
   EXPECT_EQ(even.progress().total(), 50u);
+}
+
+// A run led by an S tuple records what its pairs record through OnMatch:
+// the same count and checksum, and one latency and progress observation
+// per pair, in one run.
+void ExpectMirroredRunMatchesSingles(Clock::Mode mode) {
+  Clock clock(mode);
+  clock.Start();
+  constexpr uint32_t kSTs = 40;
+  const std::vector<uint64_t> r = EqualKeyBlock(42, MatchSink::kMaxRun);
+  for (const bool masked : {false, true}) {
+    SCOPED_TRACE(masked ? "accept even" : "accept all");
+    const auto accept = [masked](size_t b) { return !masked || b % 2 == 0; };
+    MatchSink run_sink, single_sink;
+    run_sink.Bind(&clock);
+    single_sink.Bind(&clock);
+    run_sink.OnRun<Lead::kS>(42, kSTs, r.data(), r.size(), accept);
+    uint64_t pairs = 0;
+    for (size_t b = 0; b < r.size(); ++b) {
+      if (!accept(b)) continue;
+      single_sink.OnMatch(42, PackedTs(r[b]), kSTs);
+      ++pairs;
+    }
+
+    EXPECT_EQ(run_sink.count(), pairs);
+    EXPECT_EQ(run_sink.checksum(), single_sink.checksum());
+    EXPECT_EQ(run_sink.runs(), 1u);
+    EXPECT_EQ(single_sink.runs(), pairs);
+    for (const MatchSink* sink : {&run_sink, &single_sink}) {
+      EXPECT_EQ(sink->latency().count(), pairs);
+      EXPECT_EQ(sink->progress().total(), pairs);
+    }
+
+    // The flag swaps the roles: led by R, the same tuples are other pairs.
+    MatchSink r_led;
+    r_led.Bind(&clock);
+    r_led.OnRun(42, kSTs, r.data(), r.size(), accept);
+    EXPECT_NE(r_led.checksum(), run_sink.checksum());
+  }
+}
+
+TEST(MatchSink, MirroredRunMatchesSinglesUnderInstantClock) {
+  ExpectMirroredRunMatchesSingles(Clock::Mode::kInstant);
+}
+
+TEST(MatchSink, MirroredRunMatchesSinglesUnderRealTimeClock) {
+  ExpectMirroredRunMatchesSingles(Clock::Mode::kRealTime);
+}
+
+// Sorted packed tuples, as the merge joins hold them.
+std::vector<uint64_t> SortedPacked(const std::vector<Tuple>& tuples) {
+  std::vector<uint64_t> packed;
+  for (const Tuple& t : tuples) packed.push_back(PackTuple(t));
+  std::sort(packed.begin(), packed.end());
+  return packed;
+}
+
+// Each equal-key block is led by its smaller side, so a block of |R_k| x
+// |S_k| pairs costs min(|R_k|, |S_k|) runs per kMaxRun-chunk of the larger
+// side: 3 x 5,000 is 3 x 2 runs either way round, not 5,000 x 1.
+TEST(MergeJoin, SmallerSideLeadsEachEqualKeyBlock) {
+  Clock clock(Clock::Mode::kInstant);
+  clock.Start();
+  Rng rng(21);
+  struct Block {
+    size_t nr;
+    size_t ns;
+  };
+  for (const Block block : {Block{3, 5000}, Block{5000, 3}, Block{300, 300}}) {
+    SCOPED_TRACE(testing::Message() << block.nr << " x " << block.ns);
+    // The block's key 50, between keys that find no partner.
+    std::vector<Tuple> r, s;
+    const auto add = [&](std::vector<Tuple>& side, size_t n, uint32_t key) {
+      for (size_t i = 0; i < n; ++i) {
+        side.push_back(
+            {.ts = static_cast<uint32_t>(rng.NextBounded(1000)), .key = key});
+      }
+    };
+    add(r, 10, 10);
+    add(s, 10, 20);
+    add(r, block.nr, 50);
+    add(s, block.ns, 50);
+    add(r, 10, 70);
+    add(s, 10, 90);
+    const std::vector<uint64_t> pr = SortedPacked(r);
+    const std::vector<uint64_t> ps = SortedPacked(s);
+
+    MatchSink sink;
+    sink.Bind(&clock);
+    NullTracer tracer;
+    MergeJoin(pr.data(), pr.size(), ps.data(), ps.size(), sink, tracer,
+              nullptr);
+
+    const ReferenceResult expected = NestedLoopJoin(r, s);
+    EXPECT_EQ(sink.count(), expected.matches);
+    EXPECT_EQ(sink.checksum(), expected.checksum);
+    const size_t lead = std::min(block.nr, block.ns);
+    const size_t other = std::max(block.nr, block.ns);
+    const size_t chunks =
+        (other + MatchSink::kMaxRun - 1) / MatchSink::kMaxRun;
+    EXPECT_EQ(sink.runs(), lead * chunks);
+  }
 }
 
 }  // namespace
